@@ -6,8 +6,9 @@ sizes:
 
 * ``cold``              — a fresh ``QuerySession`` over a fresh, empty
   ``InMemoryStore`` (the default production configuration on first use);
-* ``warm_in_process``   — the same session re-answers the batch, with
-  every structural entry already resident in memory;
+* ``warm_in_process``   — the same session answers a re-parsed copy of
+  the batch, with every structural entry already resident in memory (the
+  same query objects would be a batch-memo replay, not a store pass);
 * ``warm_from_disk``    — a *restarted worker*: a previous run populated
   a ``SqliteStore`` file, then a fresh store instance over that file and
   a fresh session answer the batch, preloading the persisted entries;
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from common import best_of as _best_of, write_report
+from common import best_of as _best_of, best_of_each, reparsed, write_report
 
 from repro.prob import QuerySession, query_answer
 from repro.pxml import ind, mux, ordinary, pdoc
@@ -169,7 +170,11 @@ def test_store_warm_in_process(benchmark, report, persons):
     p, queries = _setup(persons)
     session = QuerySession(p, store=InMemoryStore())
     session.answer_many(queries)  # warm outside the timer
-    answers = benchmark(session.answer_many, queries)
+    answers = benchmark.pedantic(
+        session.answer_many,
+        setup=lambda: ((reparsed(queries),), {}),
+        rounds=5,
+    )
     assert answers == [query_answer(p, q) for q in queries]
     report.append(f"store persons={persons}: warm in-process entries")
 
@@ -214,8 +219,9 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
         warm_session.answer_many(queries)
         timings = {
             "cold_s": _best_of(repeats, cold_answers, p, queries),
-            "warm_in_process_s": _best_of(
-                repeats, warm_session.answer_many, queries
+            "warm_in_process_s": best_of_each(
+                warm_session.answer_many,
+                [(reparsed(queries),) for _ in range(repeats)],
             ),
             "warm_from_disk_s": _best_of(
                 repeats, warm_disk_answers, p, queries, path

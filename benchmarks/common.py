@@ -29,6 +29,27 @@ def best_of(repeats: int, fn, *args) -> float:
     return best
 
 
+def best_of_each(fn, argsets) -> float:
+    """Minimum wall time of ``fn(*args)`` over ``argsets``, one run each.
+
+    Used where every repeat needs its own inputs — e.g. a re-parsed copy
+    of a query batch, so that no repeat is a session batch-memo replay.
+    """
+    best = float("inf")
+    for args in argsets:
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def reparsed(queries: list) -> list:
+    """Equal queries as fresh objects — a batch-memo miss by design."""
+    from repro.tp import parse_pattern
+
+    return [parse_pattern(q.xpath()) for q in queries]
+
+
 def max_abs_error(exact: list, got: list) -> float:
     """Worst ``|got - exact|`` over aligned lists of answer dicts."""
     worst = 0.0

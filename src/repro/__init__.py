@@ -52,6 +52,7 @@ from .errors import (
     RewritingError,
     NoRewritingError,
     ProbabilityError,
+    UnknownBackendError,
     LinearSystemError,
 )
 from .probability import (
@@ -129,7 +130,8 @@ __all__ = [
     "ReproError", "DocumentError", "PDocumentError", "PatternError",
     "PatternParseError", "CompensationError", "IntersectionError",
     "UnsatisfiableIntersectionError", "UnknownViewError", "RewritingError",
-    "NoRewritingError", "ProbabilityError", "LinearSystemError",
+    "NoRewritingError", "ProbabilityError", "UnknownBackendError",
+    "LinearSystemError",
     "as_probability", "as_fraction", "prob_str",
     "NumericBackend", "ExactBackend", "FastBackend", "BACKENDS", "get_backend",
     "Document", "DocNode", "doc", "node",

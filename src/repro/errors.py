@@ -20,7 +20,7 @@ __all__ = [
     "RewritingError",
     "NoRewritingError",
     "ProbabilityError",
-    "MissingDependencyError",
+    "UnknownBackendError",
     "LinearSystemError",
 ]
 
@@ -82,14 +82,10 @@ class ProbabilityError(ReproError):
     """A value that must be a probability lies outside [0, 1]."""
 
 
-class MissingDependencyError(ReproError, ImportError):
-    """An optional dependency (e.g. ``numpy`` for the ``array`` backend)
-    is not installed.
-
-    Subclasses :class:`ImportError` as well, so generic import-failure
-    handlers keep working while library users can catch it as a
-    :class:`ReproError`.
-    """
+class UnknownBackendError(ProbabilityError):
+    """A numeric backend name is not registered; the message lists the
+    registered names.  Subclasses :class:`ProbabilityError`, which bad
+    backend names raised before this type existed."""
 
 
 class LinearSystemError(ReproError):

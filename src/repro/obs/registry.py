@@ -14,8 +14,8 @@ Two publication styles coexist, chosen by hot-path cost:
   :meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram`
   get-or-create a metric child for a ``(name, labels)`` pair and hand
   back the live object; incrementing is one attribute add.  Used for
-  event counts that have no natural owner (spine splices, array
-  exact-fallback escapes, span counts).
+  event counts that have no natural owner (spine splices, span
+  counts).
 
 * **Pull collectors** — :meth:`MetricsRegistry.register_collector`
   accepts a zero-argument callable returning an iterable of

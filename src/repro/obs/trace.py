@@ -1,9 +1,9 @@
 """Span-based tracing with a no-op fast path.
 
 A :class:`Span` is one timed region of work — a shared traversal, an
-engine DP pass, a rewrite-plan phase, a stacked plan build — carrying a
+engine DP pass, a rewrite-plan phase, a store prefetch — carrying a
 name, wall time, free-form attributes (node visits, store hit/miss
-deltas, distribution widths, exact-fallback counts) and nested child
+deltas, distribution widths, memo replays) and nested child
 spans.  The module-level :func:`span` helper is what the evaluation
 layers call:
 

@@ -59,12 +59,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from ..errors import PatternError
 from ..obs.trace import span as trace_span
-from ..probability import (
-    BackendLike,
-    NumericBackend,
-    distribution_ops,
-    get_backend,
-)
+from ..probability import BackendLike, NumericBackend, ScalarOps, get_backend
 from ..pxml.pdocument import PDocument, PNode, PNodeKind
 from ..store import GATE_BLOCKED, GATE_UNPINNED, MemoStore, SubtreeKeyer
 from ..tp.embedding import evaluate as evaluate_deterministic
@@ -296,11 +291,10 @@ class EvaluationEngine:
         self._targets = 0
         for pattern in self.patterns:
             self._targets |= 1 << (2 * self._goal_index[id(pattern.root)])
-        # Distribution kernels: the backend's ops object (ScalarOps for
-        # plain scalar backends, vectorized kernels for "array").  The
-        # hot per-entry kernels are re-exported as engine methods so the
+        # Distribution kernels in the backend's scalar domain.  The hot
+        # per-entry kernels are re-exported as engine methods so the
         # combine steps below read as before.
-        self._ops = distribution_ops(self.backend, 2 * len(self._pattern_nodes))
+        self._ops = ScalarOps(self.backend)
         self._unit = self._ops.unit
         self._convolve = self._ops.convolve
         self._mixture = self._ops.mixture
@@ -554,24 +548,12 @@ class EvaluationEngine:
         )[0]
 
     def _combine_single(self, node: PNode, memo: dict) -> Distribution:
-        return self._combine_single_gated(node, memo, _GRANT_ALL)
-
-    def _combine_single_gated(
-        self, node: PNode, memo: dict, gate
-    ) -> Distribution:
-        """One single-distribution combine step under an explicit gate.
-
-        ``_GRANT_ALL`` is the unpinned evaluation; ``_GRANT_NONE`` yields
-        the *blocked* distribution (what :meth:`combine_pinned` computes
-        as the first half of its pair) — the stacked session pass
-        (:mod:`repro.prob.stacked`) uses the latter for lanes that hold
-        no candidate below a node.
-        """
+        """One single-distribution (unpinned) combine step."""
         if node.kind is PNodeKind.ORDINARY:
             combined = self._unit()
             for child in node.children:
                 combined = self._convolve(combined, memo[child.node_id])
-            return self._rewrite(node, combined, gate)
+            return self._rewrite(node, combined, _GRANT_ALL)
         assert node.probabilities is not None
         if node.kind is PNodeKind.MUX:
             return self._mux_mixture(

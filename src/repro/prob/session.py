@@ -54,22 +54,38 @@ engine are now one shared skeleton —
 :func:`repro.prob.traversal.stored_postorder`; the session's passes are
 multi-lane instances of it.
 
+**The batch memo.**  A session also remembers its last
+:data:`MEMO_BATCHES` batches, keyed on the identities of their queries
+(``tuple(map(id, queries))``; Boolean batches of two or more items on
+their patterns and anchor bindings, see :func:`_boolean_key`).  An ``answer_many`` entry
+holds the batch's plan — engines, candidate and live sets, lanes with
+their store keyers — and its answers; a Boolean entry holds its answers.
+Every entry pins the queries themselves, so a recycled ``id`` can never
+alias a key.  Repeating the *same* query objects within a document epoch
+is a pure replay — fresh copies of the memoized answers, no traversal —
+on every backend.  A re-parsed but identical query is a different key
+and takes a store-warm pass instead.  Entries are evicted oldest first.
+
 **Mutation epochs and spine-only refreshes.**  When :attr:`repro.pxml.
 pdocument.PDocument.mutation_epoch` changes (code that mutates a
 p-document in place calls ``mark_mutated(node)``), the session consults
 :meth:`PDocument.dirty_since`.  For node-scoped mutations it performs a
 *spine refresh*: only local-memo entries keyed on dirty node Ids are
-discarded, stacked batch plans survive (their per-node key caches are
-pruned of dirty Ids and their answer memos cleared), and — when the
-mutation was probability-only, so the maximal world is unchanged —
-cached candidate sets and the world itself stay warm too.  Only a
-whole-document :meth:`PDocument.mark_all_mutated` (or the deprecated
-argument-less ``mark_mutated()``) still triggers the historical full
-reset.  The structural store needs no purge either way: mutated
-subtrees change their digests and simply stop matching, while untouched
-sibling subtrees keep hitting — content addressing makes invalidation
-automatic and minimal, and the session records each spine refresh on
-the store (:meth:`repro.store.MemoStore.record_spine_recompute`).
+discarded, and — when the mutation was probability-only, so the maximal
+world is unchanged — the maximal world and every memoized
+``answer_many`` plan survive; only their answers are dropped.  This is
+sound because spine splicing updates the digest maps the plans' keyers
+hold *in place*, and a splice that had to rebuild an index reports the
+world as changed.  (Boolean entries memoize answers only — rewrite
+plans issue many small Boolean batches that rarely repeat — so any
+write drops them.)  A world-changing mutation drops the plans too, and
+a whole-document :meth:`PDocument.mark_all_mutated` (or the deprecated
+argument-less ``mark_mutated()``) triggers the full reset.  The
+structural store needs no purge either way: mutated subtrees change
+their digests and simply stop matching, while untouched sibling
+subtrees keep hitting — content addressing makes invalidation automatic
+and minimal, and the session records each spine refresh on the store
+(:meth:`repro.store.MemoStore.record_spine_recompute`).
 
 The session also backs the rewrite layer: plans route their numerator /
 denominator / α-pattern evaluations through
@@ -116,6 +132,65 @@ BooleanItem = Union[
 _BLOCKED = GATE_BLOCKED
 _UNPINNED = GATE_UNPINNED
 
+#: Batches the session memo holds, oldest evicted first.  Each entry pins
+#: its queries, engines, candidate / live sets and keyers, so the cap
+#: bounds the memo's memory on workloads that never repeat a batch.
+MEMO_BATCHES = 8
+
+
+class _Batch:
+    """One memoized batch (see "The batch memo" in the module docstring).
+
+    ``pin`` holds the queries (or normalized Boolean items) whose ids
+    form the memo key; ``answers`` is ``None`` until the batch has been
+    evaluated in the current epoch.  Boolean batches keep their answers
+    only (no plan: ``lanes`` is empty).
+    """
+
+    __slots__ = ("pin", "engines", "lanes", "candidate_sets", "targets",
+                 "answers")
+
+    def __init__(self, pin, engines=(), lanes=(), candidate_sets=(),
+                 targets=(), answers: Optional[list] = None) -> None:
+        self.pin = pin
+        self.engines = engines
+        self.lanes = lanes
+        self.candidate_sets = candidate_sets
+        self.targets = targets
+        self.answers = answers
+
+
+def _boolean_key(normalized: list) -> Optional[tuple]:
+    """Identity-based memo key for a Boolean batch, ``None`` when the
+    anchors cannot be frozen.
+
+    Patterns key by identity (like ``answer_many`` batches) and anchors
+    by ``(id(pattern node), document node id)`` pairs — anchor *values*
+    are plain ints, so content-equal bindings built fresh per call still
+    match.  The memo entry pins the normalized batch, keeping every id in
+    the key alive for as long as the entry exists.
+    """
+    try:
+        return (
+            "bool",
+            tuple(
+                (
+                    tuple(map(id, patterns)),
+                    None
+                    if anchors is None
+                    else tuple(
+                        sorted(
+                            (id(node), int(target))
+                            for node, target in anchors.items()
+                        )
+                    ),
+                )
+                for patterns, anchors in normalized
+            ),
+        )
+    except (TypeError, AttributeError, ValueError):
+        return None
+
 
 @dataclass
 class SessionStats:
@@ -128,7 +203,8 @@ class SessionStats:
             ``answer_many`` touches each node exactly once no matter how
             many queries the batch holds.
         memo_hits: per-query subtree evaluations answered from the
-            structural store or the local anchored memo.
+            structural store or the local anchored memo, plus one per
+            query of a batch replayed from the batch memo.
         memo_misses: per-query subtree evaluations computed and stored.
         anchored_hits: the subset of ``memo_hits`` whose restriction was
             anchored (store anchor-position keys, or the node-keyed local
@@ -139,15 +215,15 @@ class SessionStats:
             label (no memo involved).
         subtree_skips: whole subtrees skipped without traversal because
             every query of the batch was neutral or hit the memo at their
-            root.
+            root (a batch-memo replay skips the whole document: one).
         invalidations: full session cache resets (whole-document
             mutation epochs, manual ``invalidate()`` calls).
         spine_refreshes: node-scoped mutation epochs absorbed without a
             full reset — only state keyed on dirty node Ids was dropped.
         survived_local: cumulative local-memo entries kept live across
             spine refreshes (node-keyed baseline sessions only).
-        survived_plans: cumulative stacked batch plans kept live across
-            spine refreshes (array backend).
+        survived_plans: cumulative batch-memo plans kept live across
+            probability-only spine refreshes.
     """
 
     traversals: int = 0
@@ -211,7 +287,8 @@ class QuerySession:
     Args:
         p: the p-document all queries are evaluated against.
         backend: numeric backend name or instance (default ``"exact"``).
-        memoize: keep the cross-query subtree memo (default true).
+        memoize: keep the cross-query subtree memo and the batch memo
+            (default true).
         memo_limit: entry cap.  For the session-owned default store this
             is its ``max_entries`` (evicted cost-aware, entry by entry);
             it also caps the local anchored memo of the node-keyed
@@ -280,15 +357,9 @@ class QuerySession:
         )
         self._epoch = getattr(p, "mutation_epoch", 0)
         self._world = None
-        # Stacked-pass plan cache (array backend): batch id-signature ->
-        # (strong query refs, prepared lanes/keyer).  Scoped to the
-        # document's maximal world: spine refreshes keep it unless the
-        # mutation changed the world; see repro.prob.stacked.
-        self._stacked: dict = {}
-        # Candidate-set cache for the classic pass: id(query) -> (query,
-        # frozenset).  Candidates depend only on the maximal world and
-        # the query, so probability-only mutations keep them warm.
-        self._candidates: dict = {}
+        # The batch memo: key -> _Batch, insertion-ordered for FIFO
+        # eviction at MEMO_BATCHES (see the module docstring).
+        self._memo: dict = {}
         _LIVE_SESSIONS.add(self)
         weakref.finalize(self, _retire_session_stats, self.stats)
 
@@ -305,7 +376,9 @@ class QuerySession:
         single traversal of the p-document, consulting and filling the
         structural memo store.  Equals per-query
         :meth:`EvaluationEngine.answer` exactly (``exact`` backend) /
-        within floating-point error (``fast``).
+        within floating-point error (``fast``).  Repeating the same
+        query objects within a document epoch replays fresh copies of
+        the memoized answers without a pass (see "The batch memo").
 
         With ``profile=True`` the call is traced (tracing is enabled for
         its duration if it was off) and returns ``(answers, profiles)``
@@ -330,32 +403,22 @@ class QuerySession:
         )
         with sp:
             self._refresh()
-            if getattr(self.backend, "vectorized_sessions", False):
-                from .stacked import stacked_answer_many
-
-                answers = stacked_answer_many(self, queries)
-                if answers is not None:
-                    self.stats.queries += len(queries)
-                    if sp:
-                        sp.set("answers", sum(len(a) for a in answers))
-                    return answers
-            engines = [
-                EvaluationEngine(self.p, [q], backend=self.backend)
-                for q in queries
-            ]
-            candidate_sets = self._candidate_sets(engines, queries)
-            live_sets = [
-                self.p.ancestral_closure(cs) for cs in candidate_sets
-            ]
-            pinned_maps = self._pinned_batch_pass(
-                engines, candidate_sets, live_sets
-            )
+            key = ("answer", tuple(map(id, queries)))
+            batch = self._memo.get(key)
+            if batch is None:
+                batch = self._answer_plan(queries)
+                self._remember(key, batch)
+            elif batch.answers is not None:
+                self._count_replay(len(queries), sp)
+                if sp:
+                    sp.set("answers", sum(len(a) for a in batch.answers))
+                return [dict(answer) for answer in batch.answers]
+            roots = self._traced_postorder(batch.lanes, pinned=True)
             zero = self.backend.zero
             answers: list[dict] = []
-            for engine, query, candidates, pinned in zip(
-                engines, queries, candidate_sets, pinned_maps
+            for engine, target, candidates, (_, pinned) in zip(
+                batch.engines, batch.targets, batch.candidate_sets, roots
             ):
-                target = engine.pattern_target(query)
                 answer: dict = {}
                 for node_id in sorted(candidates):
                     distribution = pinned.get(node_id)
@@ -365,11 +428,14 @@ class QuerySession:
                     if probability > zero:
                         answer[node_id] = probability
                 answers.append(answer)
+            batch.answers = answers
             self.stats.queries += len(queries)
             if sp:
-                sp.set("candidates", sum(len(cs) for cs in candidate_sets))
+                sp.set(
+                    "candidates", sum(len(cs) for cs in batch.candidate_sets)
+                )
                 sp.set("answers", sum(len(a) for a in answers))
-            return answers
+            return [dict(answer) for answer in answers]
 
     def answer(self, q: TreePattern) -> dict:
         """``q(P̂)`` — one query, still through the session memo."""
@@ -405,50 +471,40 @@ class QuerySession:
 
     def _boolean_many(self, normalized, sp) -> list:
         self._refresh()
-        vectorized = getattr(self.backend, "vectorized_sessions", False)
-        key = None
-        if vectorized:
-            from .stacked import stacked_boolean_key
-
-            # Boolean masses depend only on the document, the patterns
-            # and the anchor bindings — never on store state — so within
-            # an epoch a repeated batch is a pure memo hit, served before
-            # the engines are even built.  ``_refresh``/``invalidate``
-            # drop the memo with the rest of ``_stacked``.
-            key = stacked_boolean_key(normalized)
-            if key is not None:
-                hit = self._stacked.get(key)
-                if hit is not None:
-                    self.stats.memo_hits += len(normalized)
-                    self.stats.subtree_skips += 1
-                    self.stats.queries += len(normalized)
-                    if sp:
-                        sp.set("stacked_memo_hit", True)
-                    return list(hit[1])
+        # Boolean masses depend only on the document, the patterns and the
+        # anchor bindings — never on store state — so a repeated batch is
+        # served from the memo before any engine is built.  Single-item
+        # batches skip the memo: rewrite plans issue them by the thousand
+        # (one per holder) and they rarely repeat, so building the key
+        # and pinning the entry cost more than replays save.
+        key = _boolean_key(normalized) if len(normalized) > 1 else None
+        batch = self._memo.get(key) if key is not None else None
+        if batch is not None:
+            self._count_replay(len(normalized), sp)
+            return list(batch.answers)
         engines = [
             EvaluationEngine(self.p, patterns, anchors, self.backend)
             for patterns, anchors in normalized
         ]
-        if vectorized:
-            from .stacked import stacked_boolean_many
-
-            masses = stacked_boolean_many(self, engines, normalized)
-            if masses is not None:
-                if key is not None:
-                    if len(self._stacked) > 4096:
-                        self._stacked.clear()
-                    # ``normalized`` rides along to pin the ids the key
-                    # was built from (patterns and anchor pattern-nodes),
-                    # so a recycled id can never alias a stored key.
-                    self._stacked[key] = (normalized, masses)
-                self.stats.queries += len(engines)
-                return masses
-        distributions = self._unpinned_batch_pass(engines)
-        self.stats.queries += len(engines)
-        return [
+        lanes = [
+            Lane(
+                table_labels=engine.table_labels,
+                combine=engine.combine_unpinned,
+                unit=engine._unit(),
+                keyer=self._keyer(engine),
+                gate=_UNPINNED,
+            )
+            for engine in engines
+        ]
+        distributions = self._traced_postorder(lanes, pinned=False)
+        masses = [
             engine.mass(distribution)
             for engine, distribution in zip(engines, distributions)
         ]
+        if key is not None:
+            self._remember(key, _Batch(normalized, answers=masses))
+        self.stats.queries += len(normalized)
+        return list(masses)
 
     def boolean_probability(
         self, q: TreePattern, anchors: Optional[AnchorsLike] = None
@@ -482,8 +538,7 @@ class QuerySession:
         if self._local is not None:
             self._local.clear()
         self._world = None
-        self._stacked.clear()
-        self._candidates.clear()
+        self._memo.clear()
         if self._owns_store and self.store is not None:
             self.store.clear()
         self.stats.invalidations += 1
@@ -520,8 +575,7 @@ class QuerySession:
             if self._local is not None:
                 self._local.clear()
             self._world = None
-            self._stacked.clear()
-            self._candidates.clear()
+            self._memo.clear()
             self.stats.invalidations += 1
             return
         changed, world_changed = dirty
@@ -536,30 +590,23 @@ class QuerySession:
             self._local.discard(lambda key: key[0] in changed)
             stats.survived_local += len(self._local)
         if world_changed:
-            # Labels or the node set moved: candidate sets, the maximal
-            # world and every stacked plan (whose lanes bake candidate /
-            # live sets in) are all suspect.
+            # Labels or the node set moved: the maximal world and every
+            # memoized plan (whose lanes bake candidate / live sets in)
+            # are suspect.
             self._world = None
-            self._candidates.clear()
-            self._stacked.clear()
+            self._memo.clear()
         else:
-            # Probability-only mutation: candidates and plans survive.
-            # Plan answer memos still reflect the old masses and per-node
-            # key caches may hold dirty digests — drop just those.
-            survived = 0
-            for key in [k for k in self._stacked if k[0] == "bool"]:
-                del self._stacked[key]
-            for entry in self._stacked.values():
-                plan = entry[1]
-                if plan is None:
-                    continue
-                plan[4].clear()
-                keyer = plan[1]
-                if keyer is not None:
-                    for node_id in changed:
-                        keyer._cache.pop(node_id, None)
-                survived += 1
-            stats.survived_plans += survived
+            # Probability-only mutation: answer plans survive — their
+            # keyers' digest maps were spliced in place, and their lanes
+            # are unanchored, so no keyer caches anchor positions (which
+            # such a write can re-rank).  Answers reflect the old masses;
+            # Boolean entries are nothing but answers.
+            memo = self._memo
+            for key in [k for k, batch in memo.items() if not batch.lanes]:
+                del memo[key]
+            for batch in memo.values():
+                batch.answers = None
+            stats.survived_plans += len(memo)
         if self.store is not None:
             self.store.record_spine_recompute(len(self.store))
 
@@ -592,22 +639,11 @@ class QuerySession:
         self, engines: list[EvaluationEngine], queries: list[TreePattern]
     ) -> list[frozenset]:
         store = self.store
-        session_cache = self._candidates
         if store is None:
-            sets = []
-            for query in queries:
-                hit = session_cache.get(id(query))
-                if hit is not None and hit[0] is query:
-                    sets.append(hit[1])
-                    continue
-                candidates = frozenset(
-                    evaluate_deterministic(query, self._max_world())
-                )
-                if len(session_cache) > 4096:
-                    session_cache.clear()
-                session_cache[id(query)] = (query, candidates)
-                sets.append(candidates)
-            return sets
+            return [
+                frozenset(evaluate_deterministic(query, self._max_world()))
+                for query in queries
+            ]
         document_key = self.p.identity_digest()
         bulk = (
             self.bulk_store
@@ -615,41 +651,21 @@ class QuerySession:
             else getattr(store, "prefers_bulk", False)
         )
         # Resolve per-query store keys first: the bulk path prefetches
-        # every cache-missing key in one round trip instead of one point
-        # read per query.  ``key is None`` marks a session-cache hit.
-        plan = []
-        for engine, query in zip(engines, queries):
-            # World-scoped session cache first: spine refreshes keep it
-            # across probability-only mutations, where the identity
-            # digest (and so the store key) changes but candidates
-            # cannot.  The stored query ref pins id(query) against reuse.
-            hit = session_cache.get(id(query))
-            if hit is not None and hit[0] is query:
-                plan.append((query, None, hit[1]))
-                continue
+        # them in one round trip instead of one point read per query.
+        keys = []
+        for engine in engines:
             table, _, _ = engine.goal_table_fingerprint(engine.table_labels)
-            key = (
-                document_key,
-                fingerprint_digest(table),
-                None,
-                "candidates",
-                "node-ids",
+            keys.append(
+                (document_key, fingerprint_digest(table), None,
+                 "candidates", "node-ids")
             )
-            plan.append((query, key, None))
-        prefetched: dict = {}
-        if bulk:
-            wanted = [key for _, key, _ in plan if key is not None]
-            if wanted:
-                prefetched = store.get_many(wanted, record=False)
+        prefetched = store.get_many(keys, record=False) if bulk else {}
         # Misses save into ``pending`` and flush as one put_many; probes
         # consult it too, so two queries sharing a key count miss-then-hit
         # and put once — exactly as the per-key loop would.
         pending: dict = {}
         sets = []
-        for query, key, known in plan:
-            if key is None:
-                sets.append(known)
-                continue
+        for query, key in zip(queries, keys):
             if bulk:
                 cached = prefetched.get(key)
                 if cached is None:
@@ -674,9 +690,6 @@ class QuerySession:
                     pending[key] = (payload, self.p.size())
                 else:
                     store.put(key, payload, weight=self.p.size())
-            if len(session_cache) > 4096:
-                session_cache.clear()
-            session_cache[id(query)] = (query, candidates)
             sets.append(candidates)
         if pending:
             store.put_many(
@@ -686,20 +699,17 @@ class QuerySession:
         return sets
 
     # ------------------------------------------------------------------
-    # Shared passes: lanes over the one store-consulting skeleton
+    # Batch plans and the memo
     # ------------------------------------------------------------------
-    def _keyer(self, engine: EvaluationEngine) -> SubtreeKeyer:
+    def _keyer(self, engine: EvaluationEngine) -> Optional[SubtreeKeyer]:
+        if self.store is None:
+            return None
         return SubtreeKeyer(
             self.p, engine, self.backend, anchored=self.anchored_store
         )
 
-    def _pinned_batch_pass(
-        self,
-        engines: list[EvaluationEngine],
-        candidate_sets: list[frozenset],
-        live_sets: list[frozenset],
-    ) -> list[dict]:
-        """One shared post-order pass computing every query's pinned map.
+    def _answer_plan(self, queries: list[TreePattern]) -> _Batch:
+        """Engines, candidates and pinned lanes for an ``answer_many`` batch.
 
         Each query is one pinned :class:`~repro.prob.traversal.Lane` of
         :func:`~repro.prob.traversal.stored_postorder`: per query and
@@ -710,50 +720,53 @@ class QuerySession:
         *every* query of the batch is neutral or hits the memo at a
         subtree root, the subtree is not traversed at all.
         """
-        use_memo = self.store is not None
+        engines = [
+            EvaluationEngine(self.p, [q], backend=self.backend)
+            for q in queries
+        ]
+        candidate_sets = self._candidate_sets(engines, queries)
         lanes = [
             Lane(
                 table_labels=engine.table_labels,
                 combine=partial(engine.combine_pinned, candidate_set=candidates),
                 unit=engine._unit(),
-                keyer=self._keyer(engine) if use_memo else None,
-                live=live,
+                keyer=self._keyer(engine),
+                live=self.p.ancestral_closure(candidates),
                 gate=_BLOCKED,
                 pinned=True,
             )
-            for engine, candidates, live in zip(
-                engines, candidate_sets, live_sets
-            )
+            for engine, candidates in zip(engines, candidate_sets)
         ]
-        roots = self._traced_postorder(lanes, pinned=True)
-        self.stats.traversals += 1
-        return [root[1] for root in roots]
-
-    def _unpinned_batch_pass(
-        self, engines: list[EvaluationEngine]
-    ) -> list[dict]:
-        """Shared pass for Boolean batches (unpinned distributions).
-
-        Same skeleton as :meth:`_pinned_batch_pass` — one unpinned lane
-        per item, without the pinned (per-candidate) machinery.
-        """
-        use_memo = self.store is not None
-        lanes = [
-            Lane(
-                table_labels=engine.table_labels,
-                combine=engine.combine_unpinned,
-                unit=engine._unit(),
-                keyer=self._keyer(engine) if use_memo else None,
-                gate=_UNPINNED,
-            )
-            for engine in engines
+        targets = [
+            engine.pattern_target(q) for engine, q in zip(engines, queries)
         ]
-        roots = self._traced_postorder(lanes, pinned=False)
-        self.stats.traversals += 1
-        return roots
+        return _Batch(tuple(queries), engines, lanes, candidate_sets, targets)
 
+    def _remember(self, key: tuple, batch: _Batch) -> None:
+        """Memoize ``batch`` under ``key``, evicting the oldest entry at
+        :data:`MEMO_BATCHES` (no-op for ``memoize=False`` sessions)."""
+        if not self.memoize:
+            return
+        memo = self._memo
+        if len(memo) >= MEMO_BATCHES:
+            del memo[next(iter(memo))]
+        memo[key] = batch
+
+    def _count_replay(self, count: int, sp) -> None:
+        """Account one batch served from the memo without a traversal."""
+        stats = self.stats
+        stats.memo_hits += count
+        stats.subtree_skips += 1
+        stats.queries += count
+        if sp:
+            sp.set("memo_replay", True)
+
+    # ------------------------------------------------------------------
+    # Shared passes: lanes over the one store-consulting skeleton
+    # ------------------------------------------------------------------
     def _traced_postorder(self, lanes: list, pinned: bool) -> list:
-        """Run :func:`stored_postorder`, under a traversal span if tracing.
+        """Run one shared :func:`stored_postorder` pass over ``lanes``,
+        under a traversal span if tracing.
 
         The span records per-pass deltas of the session counters (node
         visits, memo and store hit/miss traffic) — cheap because the
@@ -789,4 +802,5 @@ class QuerySession:
             if self.store is not None:
                 sp.set("store_hits", self.store.hits - store_before[0])
                 sp.set("store_misses", self.store.misses - store_before[1])
+        self.stats.traversals += 1
         return roots

@@ -16,35 +16,26 @@ Probability *computation* (the dynamic program of
   with ``exact`` to within ordinary floating-point error (the property
   suite asserts 1e-9 on random instances).
 
-* ``"array"`` — goal-set distributions packed into ``numpy`` arrays;
-  vectorized convolution / mixture / projection kernels with a
-  configurable support-width threshold beyond which a subtree falls back
-  to exact per-entry arithmetic (see :mod:`repro.probability_array`).
-  Requires the optional ``numpy`` dependency (the ``[array]`` extra).
-
 Backends are looked up by name with :func:`get_backend`; any object
 satisfying the protocol (``zero``/``one`` constants plus ``convert`` /
 ``to_fraction``) may be passed wherever a backend name is accepted, so
 interval or log-space arithmetic can be plugged in without touching the
 engine.  Third-party backends register under a name with
-:func:`register_backend` (instances, or lazy factories for backends with
-optional dependencies).
+:func:`register_backend`.
 
 The *distribution kernels* of the evaluation engine — unit / convolution
 / mixture / goal-rewrite / projection over goal-set distributions — are
-grouped in an ops object the backend supplies through the optional
-``engine_ops(goal_bits)`` hook (resolved by :func:`distribution_ops`).
-Backends without the hook get :class:`ScalarOps`, the per-entry dict
-kernels; the ``array`` backend returns vectorized kernels instead.
+the per-entry dict loops of :class:`ScalarOps`, which run in any
+backend's scalar domain.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional, Protocol, Union, runtime_checkable
+from typing import Optional, Protocol, Union, runtime_checkable
 
-from .errors import ProbabilityError
+from .errors import ProbabilityError, UnknownBackendError
 
 __all__ = [
     "Probability",
@@ -60,7 +51,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "ScalarOps",
-    "distribution_ops",
 ]
 
 #: The internal representation of probabilities.
@@ -206,10 +196,7 @@ class ScalarOps:
     :class:`ScalarOps` implements the evaluation engine's kernel surface
     — unit / convolve / mixture / mux-mixture / goal rewrite / scaled
     add-subtract / target-mass projection — with plain dict loops in the
-    backend's scalar domain.  This is the default every backend gets
-    from :func:`distribution_ops`; backends may return specialized ops
-    (e.g. the vectorized kernels of :mod:`repro.probability_array`)
-    through the ``engine_ops(goal_bits)`` hook instead.
+    backend's scalar domain.
 
     Distributions are immutable by convention: every kernel builds a
     fresh dict or returns an existing operand unmodified, so results may
@@ -361,46 +348,9 @@ class ScalarOps:
                 total = total + probability
         return total
 
-    def to_dict(self, distribution: dict) -> dict:
-        """Plain ``{mask: value}`` view (identity for scalar backends)."""
-        return distribution
 
-
-def distribution_ops(backend: NumericBackend, goal_bits: int):
-    """The distribution-kernel ops for ``backend``.
-
-    Resolves the optional ``engine_ops(goal_bits)`` backend hook —
-    ``goal_bits`` is the width of the engine's interned goal-mask space,
-    which array backends use to decide whether masks fit machine
-    integers — and falls back to :class:`ScalarOps` for plain
-    scalar-protocol backends.
-    """
-    hook = getattr(backend, "engine_ops", None)
-    if hook is not None:
-        return hook(goal_bits)
-    return ScalarOps(backend)
-
-
-# Cached ScalarOps: one per backend instance, engines share them.
-def _scalar_ops(backend: NumericBackend) -> ScalarOps:
-    ops = getattr(backend, "_cached_scalar_ops", None)
-    if ops is None:
-        ops = ScalarOps(backend)
-        try:
-            backend._cached_scalar_ops = ops
-        except AttributeError:  # slotted/frozen backends: rebuild per call
-            pass
-    return ops
-
-
-ExactBackend.engine_ops = lambda self, goal_bits: _scalar_ops(self)
-FastBackend.engine_ops = lambda self, goal_bits: _scalar_ops(self)
-
-
-#: The built-in backend registry, keyed by backend name.  Values are
-#: backend instances, or zero-argument factories for backends that are
-#: instantiated lazily (the ``array`` backend imports numpy on first use).
-BACKENDS: dict[str, Union[NumericBackend, Callable[[], NumericBackend]]] = {}
+#: The built-in backend registry, keyed by backend name.
+BACKENDS: dict[str, NumericBackend] = {}
 
 #: A backend name or a backend instance.
 BackendLike = Union[str, NumericBackend]
@@ -412,17 +362,10 @@ _BACKEND_TYPES: set = set()
 
 
 def register_backend(
-    backend: Union[NumericBackend, Callable[[], NumericBackend]],
-    name: Optional[str] = None,
+    backend: NumericBackend, name: Optional[str] = None
 ) -> None:
-    """Register a backend under its name, replacing any previous entry.
-
-    ``backend`` is an instance (its ``name`` attribute keys the
-    registry) or a zero-argument factory returning one — lazy factories
-    let backends with optional dependencies (``array`` needs numpy)
-    register unconditionally and defer the import to first use; for a
-    factory, ``name`` is required.
-    """
+    """Register a backend instance under ``name`` (default: its ``name``
+    attribute), replacing any previous entry."""
     if name is None:
         name = getattr(backend, "name", None)
         if not isinstance(name, str):
@@ -431,42 +374,29 @@ def register_backend(
                 "'name' attribute and no explicit name was given"
             )
     BACKENDS[name] = backend
-    if not callable(backend) or isinstance(backend, NumericBackend):
-        _BACKEND_TYPES.add(type(backend))
+    _BACKEND_TYPES.add(type(backend))
 
 
 def get_backend(backend: BackendLike) -> NumericBackend:
-    """Resolve a backend name (``"exact"``, ``"fast"``, ``"array"``) or
-    pass through an object already satisfying :class:`NumericBackend`.
+    """Resolve a backend name (``"exact"``, ``"fast"``) or pass through an
+    object already satisfying :class:`NumericBackend`.
 
     Raises:
-        ProbabilityError: for unknown names or non-backend objects.
-        MissingDependencyError: for the ``array`` backend without numpy.
+        UnknownBackendError: for names not in :data:`BACKENDS`.
+        ProbabilityError: for objects that are not backends.
     """
     if isinstance(backend, str):
         try:
-            resolved = BACKENDS[backend]
+            return BACKENDS[backend]
         except KeyError:
-            raise ProbabilityError(
+            raise UnknownBackendError(
                 f"unknown numeric backend {backend!r}; "
                 f"registered backends: {', '.join(sorted(BACKENDS))}"
             ) from None
-        if callable(resolved) and not isinstance(resolved, NumericBackend):
-            # Lazy factory: instantiate once and memoize the instance.
-            resolved = resolved()
-            register_backend(resolved, backend)
-        return resolved
     if type(backend) in _BACKEND_TYPES or isinstance(backend, NumericBackend):
         return backend
     raise ProbabilityError(f"not a numeric backend: {backend!r}")
 
 
-def _array_backend_factory() -> NumericBackend:
-    from .probability_array import ArrayBackend
-
-    return ArrayBackend()
-
-
 register_backend(ExactBackend())
 register_backend(FastBackend())
-register_backend(_array_backend_factory, "array")

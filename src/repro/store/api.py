@@ -51,8 +51,8 @@ cost the entry saves — which cost-aware eviction policies
 memory pressure.
 
 **The bulk protocol.**  Store-consulting traversals
-(:func:`repro.prob.traversal.stored_postorder` and the stacked pass of
-:mod:`repro.prob.stacked`) can compute a whole pass's candidate key set
+(:func:`repro.prob.traversal.stored_postorder`) can compute a whole
+pass's candidate key set
 *before* touching any probability — the same structural-tractability
 bet the paper's rewritings rest on — and ship it as one request instead
 of one round trip per node:

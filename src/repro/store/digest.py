@@ -36,7 +36,7 @@ shape digest answers one question cheaply during a spine splice: did
 this mutation change :meth:`PDocument.max_world` (and therefore
 candidate sets), or only probability mass?  A probability-only edit
 changes every structural digest on its spine but no shape digest, so
-sessions keep their candidate caches and stacked batch plans warm.
+sessions keep their memoized batch plans (candidate sets included) warm.
 
 **Identity digests.**  :func:`compute_identity_index` is the Id-*aware*
 Merkle twin of the structural index: the payload additionally hashes

@@ -158,29 +158,10 @@ def _decode_anchor(text: str):
 def _encode(distribution) -> Optional[str]:
     """JSON payload for a distribution, or ``None`` if not serializable.
 
-    Two payload generations coexist in one table:
-
-    * **v1** — scalar dicts.  Exact values travel as ``[numerator,
-      denominator]`` pairs (faster to revive than ``"num/den"`` strings
-      — decode speed is what bounds the warm-from-disk preload), floats
-      as plain JSON numbers.
-    * **v2** — packed-array distributions from the ``array`` backend,
-      duck-typed by their aligned ``masks``/``values`` arrays: kind
-      ``"a"`` for a 1-D :class:`~repro.probability_array.ArrayDistribution`,
-      kind ``"s"`` for a 2-D lane-batched
-      :class:`~repro.probability_array.StackedDistribution`.
+    Exact values travel as ``[numerator, denominator]`` pairs (faster to
+    revive than ``"num/den"`` strings — decode speed is what bounds the
+    warm-from-disk preload), floats as plain JSON numbers.
     """
-    masks = getattr(distribution, "masks", None)
-    if masks is not None:
-        kind = "a" if getattr(masks, "ndim", 0) == 1 else "s"
-        return json.dumps(
-            {
-                "v": 2,
-                "k": kind,
-                "m": masks.tolist(),
-                "p": distribution.values.tolist(),
-            }
-        )
     items = []
     for mask, value in distribution.items():
         if isinstance(value, Fraction):
@@ -195,45 +176,19 @@ def _encode(distribution) -> Optional[str]:
 def _decode(payload: str):
     """Inverse of :func:`_encode`; raises ``ValueError`` on foreign data.
 
-    v2 payloads revive through :mod:`repro.probability_array`; when
-    numpy is unavailable in the reading process the payload is treated
-    as foreign (``ValueError`` → miss) rather than failing the query.
+    Any other version tag — including the ``"v": 2`` packed-array rows
+    of the removed ``array`` backend — is foreign: the caller turns the
+    ``ValueError`` into a miss.
     """
     data = json.loads(payload)
     if not isinstance(data, dict):
         raise ValueError(f"unsupported memo payload: {payload[:40]!r}")
-    version = data.get("v")
-    if version == 2:
-        return _decode_array(data, payload)
-    if version != _PAYLOAD_VERSION:
+    if data.get("v") != _PAYLOAD_VERSION:
         raise ValueError(f"unsupported memo payload version: {payload[:40]!r}")
     return {
         int(mask): Fraction(*value) if isinstance(value, list) else float(value)
         for mask, value in data["d"]
     }
-
-
-def _decode_array(data: dict, payload: str):
-    """Revive a v2 packed-array payload (see :func:`_encode`)."""
-    try:
-        import numpy
-
-        from ..probability_array import ArrayDistribution, StackedDistribution
-    except ImportError as exc:
-        raise ValueError(
-            f"array memo payload needs numpy to decode: {exc}"
-        ) from exc
-    kind = data.get("k")
-    try:
-        masks = numpy.asarray(data["m"], dtype=numpy.int64)
-        values = numpy.asarray(data["p"], dtype=numpy.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed array memo payload: {payload[:40]!r}") from exc
-    if kind == "a" and masks.ndim == 1 and masks.shape == values.shape:
-        return ArrayDistribution(masks, values)
-    if kind == "s" and masks.ndim == 2 and masks.shape == values.shape:
-        return StackedDistribution(masks, values)
-    raise ValueError(f"malformed array memo payload: {payload[:40]!r}")
 
 
 class SqliteStore(MemoStore):

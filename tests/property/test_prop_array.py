@@ -1,19 +1,18 @@
-"""Property tests for the vectorized ``array`` backend.
+"""Property tests for the batch memo, formerly the ``array`` backend's.
 
-The PR-6 acceptance invariant: on random p-documents and random query
-batches, the ``array`` backend agrees with ``exact`` within ``1e-9`` —
-for ``answer_many`` (the stacked blocked/pinned pass) and
-``boolean_many`` (the stacked unpinned pass, plain and anchored),
-store-backed and store-free, cold and warm alike.  A width-threshold of
-one forces the exact per-subtree fallback on every kernel and must
-change nothing but the arithmetic domain.
+The invariant the removed vectorized backend was held to, restated on
+``fast`` now that every backend has the session's batch memo: on random
+p-documents and random query batches, ``fast`` agrees with ``exact``
+within ``1e-9`` — for ``answer_many`` and ``boolean_many`` (plain and
+anchored), store-backed and store-free, on the cold pass and on memo
+replays alike.  The ``exact`` backend's replays equal its cold answers
+bit for bit.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.probability_array import ArrayBackend
 from repro.prob import QuerySession, query_answer
 from repro.prob.engine import boolean_probability, node_probability
 from repro.store import InMemoryStore
@@ -46,11 +45,15 @@ def assert_close(exact: dict, got: dict):
 def test_answer_many_matches_exact(seed):
     p, queries = make_batch(seed)
     expected = [query_answer(p, q) for q in queries]
-    session = QuerySession(p, backend="array")
-    for _ in range(2):  # cold pass, then the plan-memoized warm repeat
+    session = QuerySession(p, backend="fast")
+    for _ in range(2):  # cold pass, then the memo replay
         got = session.answer_many(queries)
         for d_exact, d_got in zip(expected, got):
             assert_close(d_exact, d_got)
+    exact_session = QuerySession(p)
+    assert exact_session.answer_many(queries) == expected
+    assert exact_session.answer_many(queries) == expected  # bit for bit
+    assert exact_session.stats.traversals == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -58,7 +61,7 @@ def test_answer_many_matches_exact(seed):
 def test_answer_many_store_free(seed):
     p, queries = make_batch(seed)
     expected = [query_answer(p, q) for q in queries]
-    session = QuerySession(p, backend="array", memoize=False)
+    session = QuerySession(p, backend="fast", memoize=False)
     for _ in range(2):
         got = session.answer_many(queries)
         for d_exact, d_got in zip(expected, got):
@@ -69,12 +72,12 @@ def test_answer_many_store_free(seed):
 @given(seeds)
 def test_answer_many_shared_store(seed):
     # Two sessions sharing one store: the second warms from the first's
-    # combined stacked entries and must agree identically.
+    # entries and must agree identically.
     p, queries = make_batch(seed)
     expected = [query_answer(p, q) for q in queries]
     store = InMemoryStore()
     for _ in range(2):
-        got = QuerySession(p, backend="array", store=store).answer_many(
+        got = QuerySession(p, backend="fast", store=store).answer_many(
             queries
         )
         for d_exact, d_got in zip(expected, got):
@@ -85,7 +88,7 @@ def test_answer_many_shared_store(seed):
 @given(seeds)
 def test_boolean_many_matches_exact(seed):
     p, queries = make_batch(seed)
-    session = QuerySession(p, backend="array")
+    session = QuerySession(p, backend="fast")
     items = []
     expected = []
     for q in queries:
@@ -95,18 +98,7 @@ def test_boolean_many_matches_exact(seed):
         if candidates:
             items.append((q, {q.out: candidates[0]}))
             expected.append(float(node_probability(p, q, candidates[0])))
-    for _ in range(2):  # cold + warm (anchored entries probe the store)
+    for _ in range(2):  # cold + memo replay
         got = session.boolean_many(items)
         for e, g in zip(expected, got):
             assert abs(e - float(g)) < TOLERANCE
-
-
-@settings(max_examples=15, deadline=None)
-@given(seeds)
-def test_width_threshold_fallback_is_transparent(seed):
-    p, queries = make_batch(seed)
-    expected = [query_answer(p, q) for q in queries]
-    backend = ArrayBackend(width_threshold=1)
-    got = QuerySession(p, backend=backend).answer_many(queries)
-    for d_exact, d_got in zip(expected, got):
-        assert_close(d_exact, d_got)

@@ -2,7 +2,7 @@
 
 The acceptance bar: a probe-plan (bulk) pass is *observably identical*
 to the per-key pass — same answers (bit-exact on ``exact``, within
-``1e-9`` on ``array``) AND the same ``stats()`` hit/miss/put accounting
+``1e-9`` on ``fast``) AND the same ``stats()`` hit/miss/put accounting
 — on random p-documents and query batches, against memory and SQLite
 stores, cold, warm, warm-from-disk, and across spine-only in-place
 mutations (``mark_mutated(node)``).  Only the round-trip *shape* (the
@@ -13,12 +13,12 @@ between the arms.
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.prob import QuerySession, query_answer
 from repro.pxml.pdocument import PDocument
 from repro.store import InMemoryStore, SqliteStore
+from repro.tp import parse_pattern
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
 LABELS = ("a", "b", "c")
@@ -118,23 +118,23 @@ def test_bulk_matches_perkey_on_sqlite_warm_from_disk(
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_bulk_matches_perkey_on_stacked_array_pass(seed):
-    # The stacked (array-backend) pass has its own probe/save loop; its
-    # bulk plan must preserve answers within 1e-9 of exact and keep the
-    # combined-key store accounting identical to per-key stacked runs.
-    pytest.importorskip("numpy")
-    p, queries, rng = make_batch(seed)
+def test_bulk_matches_perkey_through_batch_memo(seed):
+    # On ``fast``: a cold pass, a batch-memo replay (no store traffic),
+    # and a store-warm pass over re-parsed queries.  Answers stay within
+    # 1e-9 of exact and both arms keep identical store accounting.
+    p, queries, _ = make_batch(seed)
     exact = [query_answer(p, q) for q in queries]
-    perkey = QuerySession(p, backend="array", store=InMemoryStore(),
+    reparsed = [parse_pattern(q.xpath()) for q in queries]
+    perkey = QuerySession(p, backend="fast", store=InMemoryStore(),
                           bulk_store=False)
-    bulk = QuerySession(p, backend="array", store=InMemoryStore(),
+    bulk = QuerySession(p, backend="fast", store=InMemoryStore(),
                         bulk_store=True)
     for session in (perkey, bulk):
-        for answers in (session.answer_many(queries),
-                        session.answer_many(queries)):
-            for got, want in zip(answers, exact):
+        for batch in (queries, queries, reparsed):
+            for got, want in zip(session.answer_many(batch), exact):
                 for node_id in set(got) | set(want):
                     assert abs(
                         got.get(node_id, 0.0) - float(want.get(node_id, 0))
                     ) < TOLERANCE
+        assert session.stats.traversals == 2
     assert accounting(perkey.store) == accounting(bulk.store)

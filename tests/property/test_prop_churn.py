@@ -7,7 +7,8 @@ rebuilt from scratch over the same tree computes cold: structural
 digests, subtree sizes, shape digests, canonical anchor positions,
 label sets, the identity digest — and query answers through a resident
 :class:`QuerySession` (exactly on the ``exact`` backend; within ``1e-9``
-on the ``array`` backend).  Any unsound splice (a missed ancestor, a
+on the ``fast`` backend), whose batch memos replay only while the
+document is unchanged.  Any unsound splice (a missed ancestor, a
 stale sibling rank, an un-restamped node) surfaces as a mismatch.
 """
 
@@ -102,15 +103,15 @@ def test_resident_session_answers_match_scratch_rebuild(seed):
         for _ in range(2)
     ]
     exact_session = QuerySession(p)
-    array_session = QuerySession(p, backend="array")
+    fast_session = QuerySession(p, backend="fast")
     exact_session.answer_many(queries)
-    array_session.answer_many(queries)
+    fast_session.answer_many(queries)
     for _ in range(rng.randint(1, 4)):
         _mutate_scoped(p, rng, counter)
         scratch = p.subdocument(p.root.node_id)
         expected = [query_answer(scratch, q) for q in queries]
         assert exact_session.answer_many(queries) == expected
-        for want, got in zip(expected, array_session.answer_many(queries)):
+        for want, got in zip(expected, fast_session.answer_many(queries)):
             keys = set(want) | {k for k, v in got.items() if float(v) > 1e-12}
             for k in keys:
                 assert abs(float(got.get(k, 0.0)) - float(want.get(k, 0))) < (
@@ -120,3 +121,26 @@ def test_resident_session_answers_match_scratch_rebuild(seed):
     # them as spine refreshes, never as full resets.
     assert exact_session.stats.invalidations == 0
     assert exact_session.stats.spine_refreshes > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_resident_boolean_memo_matches_scratch_rebuild(seed):
+    # Anchored Boolean batches on a resident session: memoized plans
+    # (their keyers' anchor positions included) must stay sound across
+    # probability writes, which can re-rank digest-sorted positions.
+    rng = random.Random(seed)
+    p = random_pdocument(rng, labels=LABELS, max_depth=4, max_children=3)
+    counter = _fresh_counter(p)
+    q = random_tree_pattern(rng, labels=LABELS, mb_length=rng.randint(1, 3))
+    ids = sorted(n.node_id for n in p.ordinary_nodes())
+    items = [q] + [(q, {q.out: node_id}) for node_id in ids[:4]]
+    session = QuerySession(p)
+    session.boolean_many(items)
+    for _ in range(rng.randint(1, 4)):
+        _mutate_scoped(p, rng, counter)
+        scratch = QuerySession(p.subdocument(p.root.node_id), memoize=False)
+        expected = scratch.boolean_many(items)
+        assert session.boolean_many(items) == expected
+        assert session.boolean_many(items) == expected  # memo replay
+    assert session.stats.invalidations == 0

@@ -3,8 +3,8 @@
 The observer-effect invariant: turning tracing on — or asking for cost
 profiles — must never change an answer.  On random p-documents and
 random query batches, a traced ``answer_many`` equals the untraced one
-*exactly* on the ``exact`` backend and within ``1e-9`` on ``array``
-(which routes through the stacked vectorized pass), and the profiles of
+*exactly* on the ``exact`` backend and within ``1e-9`` on ``fast`` —
+on the cold pass and on the batch-memo replay — and the profiles of
 a traced call always sum back to the traced wall time.
 """
 
@@ -51,10 +51,20 @@ def test_tracing_never_changes_exact_answers(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_tracing_never_changes_array_answers(seed):
+    # Formerly on the removed ``array`` backend; now ``fast`` through the
+    # batch memo: a traced replay must equal the untraced one.
     p, queries = make_batch(seed)
-    plain = QuerySession(p, backend="array").answer_many(queries)
-    traced = traced_answers(p, queries, "array")
-    for d_plain, d_traced in zip(plain, traced):
+    plain = QuerySession(p, backend="fast").answer_many(queries)
+    enable_tracing()
+    try:
+        session = QuerySession(p, backend="fast")
+        traced = [session.answer_many(queries) for _ in range(2)]
+    finally:
+        disable_tracing()
+        take_spans()
+    assert session.stats.traversals == 1
+    assert traced[0] == traced[1]
+    for d_plain, d_traced in zip(plain, traced[1]):
         assert set(d_plain) == set(d_traced)
         for node_id in d_plain:
             assert abs(d_traced[node_id] - d_plain[node_id]) < TOLERANCE

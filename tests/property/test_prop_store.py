@@ -40,7 +40,7 @@ def make_batch(seed: int, max_queries: int = 3):
 
 
 def mutate_in_place(p: PDocument, rng: random.Random) -> None:
-    """A random in-place edit followed by ``mark_mutated()``."""
+    """A random in-place edit followed by ``mark_all_mutated()``."""
     distributional = p.distributional_nodes()
     ordinary_nodes = [
         n for n in p.ordinary_nodes() if n is not p.root
@@ -52,7 +52,7 @@ def mutate_in_place(p: PDocument, rng: random.Random) -> None:
         node.probabilities[child.node_id] *= Fraction(rng.choice((0, 1, 2)), 2)
     elif ordinary_nodes:
         rng.choice(ordinary_nodes).label = rng.choice(LABELS)
-    p.mark_mutated()
+    p.mark_all_mutated()
 
 
 @settings(max_examples=40, deadline=None)

@@ -135,7 +135,8 @@ class TestPinnedCombinators:
 
 class TestBackends:
     def test_registry(self):
-        assert {"exact", "fast", "array"} <= set(BACKENDS)
+        assert {"exact", "fast"} <= set(BACKENDS)
+        assert "array" not in BACKENDS
         assert get_backend("exact") is BACKENDS["exact"]
         backend = FastBackend()
         assert get_backend(backend) is backend

@@ -236,6 +236,19 @@ class TestProfiles:
         assert [p_.label for p_ in profiles] == [q.xpath() for q in queries]
         assert all(p_.wall_s >= 0.0 for p_ in profiles)
 
+    def test_batch_memo_replay_is_labelled(self):
+        # A replayed batch is a cache replay, not an evaluation: its span
+        # says so and carries no traversal child.
+        p, queries = batch_workload(persons=4, projects=2, seed=1)
+        session = QuerySession(p)
+        expected = session.answer_many(queries)
+        enable_tracing()
+        assert session.answer_many(queries) == expected
+        (root,) = take_spans()
+        assert root.name == "session.answer_many"
+        assert root.attrs.get("memo_replay") is True
+        assert not root.children
+
     def test_query_answer_profile_matches_plain_answer(self):
         p, queries = batch_workload(persons=4, projects=1, seed=2)
         q = queries[0]

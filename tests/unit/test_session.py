@@ -18,6 +18,7 @@ from repro.prob.engine import (
     node_probability,
 )
 from repro.pxml import ind, mux, ordinary, pdoc
+from repro.store import InMemoryStore
 from repro.tp import parse_pattern
 from repro.workloads import paper
 from repro.workloads.synthetic import batch_workload, personnel_pdocument, personnel_query
@@ -75,9 +76,15 @@ class TestAnswerMany:
         assert session.stats.traversals == 1
         cold_visits = session.stats.node_visits
         assert cold_visits <= p.size()
-        # A second identical batch reuses the memo: whole subtrees are
-        # skipped, so strictly fewer nodes are visited the second time.
+        # The same query objects replay from the batch memo: no pass.
         assert session.answer_many(queries) == first
+        assert session.stats.traversals == 1
+        assert session.stats.node_visits == cold_visits
+        # A re-parsed copy of the batch misses the batch memo but reuses
+        # the store: whole subtrees are skipped, so strictly fewer nodes
+        # are visited the second time.
+        again = [parse_pattern(q.xpath()) for q in queries]
+        assert session.answer_many(again) == first
         assert session.stats.traversals == 2
         assert session.stats.node_visits - cold_visits < cold_visits
         assert session.stats.subtree_skips > 0
@@ -163,13 +170,40 @@ class TestBooleanMany:
         assert session.stats.memo_hits > before
 
 
+class TestBatchMemo:
+    def test_replay_leaves_a_shared_store_untouched(self):
+        p, queries = batch_workload(persons=4, projects=2, seed=4)
+        store = InMemoryStore()
+        session = QuerySession(p, store=store)
+        first = session.answer_many(queries)
+        counts = store.stats()
+        assert session.answer_many(queries) == first
+        assert store.stats() == counts
+        # A second session over the same store has its own memo.
+        other = QuerySession(p, store=store)
+        assert other.answer_many(queries) == first
+        assert other.stats.traversals == 1
+        assert store.stats()["hits"] > counts["hits"]
+
+
+    def test_single_item_boolean_batches_skip_the_memo(self, p_per):
+        q = paper.q_bon()
+        session = QuerySession(p_per)
+        single = [(q, {q.out: 5})]
+        pair = single + [(q, {q.out: 7})]
+        assert session.boolean_many(single) == session.boolean_many(single)
+        assert session.stats.traversals == 2
+        assert session.boolean_many(pair) == session.boolean_many(pair)
+        assert session.stats.traversals == 3
+
+
 class TestInvalidation:
     def test_mutation_epoch_clears_memo(self):
         p, queries = batch_workload(persons=4, projects=2, seed=7)
         session = QuerySession(p)
         first = session.answer_many(queries)
         assert session.memo_size > 0
-        p.mark_mutated()
+        p.mark_all_mutated()
         # The session notices the epoch on its next use and re-derives
         # everything from the document.
         assert session.answer_many(queries) == first
@@ -184,8 +218,8 @@ class TestInvalidation:
 
     def test_epoch_starts_at_zero_and_counts(self, p_per):
         assert p_per.mutation_epoch == 0
-        p_per.mark_mutated()
-        p_per.mark_mutated()
+        p_per.mark_all_mutated()
+        p_per.mark_all_mutated()
         assert p_per.mutation_epoch == 2
 
     def test_memo_limit_bounds_entries(self):

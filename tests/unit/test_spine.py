@@ -273,33 +273,64 @@ class TestSessionSpineRefresh:
         assert 0 < stats["survived_entries"] <= len(session.store)
 
     def test_array_plans_survive_probability_mutation(self):
-        pytest.importorskip("numpy")
-        p, session, queries = self.make_session(backend="array")
-        session.answer_many(queries)
-        self.mutate_probability(p)
-        scratch = p.subdocument(p.root.node_id)
-        expected = [query_answer(scratch, q) for q in queries]
-        for want, got in zip(expected, session.answer_many(queries)):
-            for key in set(want) | set(got):
-                assert abs(
-                    float(got.get(key, 0.0)) - float(want.get(key, 0))
-                ) < 1e-9
-        assert session.stats.spine_refreshes == 1
-        assert session.stats.survived_plans >= 1
+        # Formerly the stacked array pass's plans; now the batch memo of
+        # every backend: a probability-only write keeps the plans and
+        # drops only their answers.
+        for backend in ("exact", "fast"):
+            p, session, queries = self.make_session(backend=backend)
+            session.answer_many(queries)
+            memo = dict(session._memo)
+            self.mutate_probability(p)
+            scratch = p.subdocument(p.root.node_id)
+            expected = [query_answer(scratch, q) for q in queries]
+            got = session.answer_many(queries)
+            if backend == "exact":
+                assert got == expected
+            for want, have in zip(expected, got):
+                for key in set(want) | set(have):
+                    assert abs(
+                        float(have.get(key, 0.0)) - float(want.get(key, 0))
+                    ) < 1e-9
+            assert session.stats.spine_refreshes == 1
+            assert session.stats.survived_plans == 1
+            assert session.stats.traversals == 2  # answers were dropped
+            assert all(session._memo[k] is v for k, v in memo.items())
+            assert session.answer_many(queries) == got  # replay again
+            assert session.stats.traversals == 2
 
     def test_world_mutation_drops_plans_without_full_reset(self):
-        pytest.importorskip("numpy")
-        p, session, queries = self.make_session(backend="array")
+        for backend in ("exact", "fast"):
+            p, session, queries = self.make_session(backend=backend)
+            session.answer_many(queries)
+            target = next(
+                n for n in p.ordinary_nodes() if n.label and n.label.isdigit()
+            )
+            target.label = str(int(target.label) + 1)
+            p.mark_mutated(target)
+            scratch = p.subdocument(p.root.node_id)
+            got = session.answer_many(queries)
+            if backend == "exact":
+                assert got == [query_answer(scratch, q) for q in queries]
+            assert session.stats.spine_refreshes == 1
+            assert session.stats.survived_plans == 0
+            assert session.stats.invalidations == 0
+            assert session.stats.traversals == 2
+
+    def test_boolean_memo_dropped_by_probability_mutation(self):
+        # Boolean entries memoize answers only: a probability write
+        # drops them, while the answer_many plan beside them survives.
+        p, session, queries = self.make_session(store=InMemoryStore())
+        q = queries[0]
+        items = [q] + [(q, {q.out: n}) for n in sorted(query_answer(p, q))]
         session.answer_many(queries)
-        target = next(
-            n for n in p.ordinary_nodes() if n.label and n.label.isdigit()
-        )
-        target.label = str(int(target.label) + 1)
-        p.mark_mutated(target)
-        session.answer_many(queries)
-        assert session.stats.spine_refreshes == 1
-        assert session.stats.survived_plans == 0
-        assert session.stats.invalidations == 0
+        session.boolean_many(items)
+        self.mutate_probability(p)
+        scratch = QuerySession(p.subdocument(p.root.node_id), memoize=False)
+        assert session.boolean_many(items) == scratch.boolean_many(items)
+        assert session.stats.survived_plans == 1
+        assert session.stats.traversals == 3
+        assert session.boolean_many(items) == scratch.boolean_many(items)
+        assert session.stats.traversals == 3  # memo replay
 
     def test_mark_all_mutated_forces_full_reset(self):
         p, session, queries = self.make_session()

@@ -59,7 +59,7 @@ class TestStructuralDigest:
         node = reweighted.node(102)
         assert node.probabilities is not None
         node.probabilities[103] = Fraction(1, 4)
-        reweighted.mark_mutated()
+        reweighted.mark_mutated(node)
         assert len({base, relabeled, reweighted.document_digest}) == 3
         ind_doc = pdoc(ordinary(1, "a", ind(2, (ordinary(3, "b"), "0.5"))))
         mux_doc = pdoc(ordinary(1, "a", mux(2, (ordinary(3, "b"), "0.5"))))
@@ -69,7 +69,7 @@ class TestStructuralDigest:
         p = pdoc(ordinary(1, "a", person(1)))
         before = p.document_digest
         p.node(103).label = "Morty"
-        p.mark_mutated()
+        p.mark_mutated(103)
         assert p.document_digest != before
 
     def test_subtree_size_counts_all_node_kinds(self, p_per):
@@ -313,7 +313,7 @@ class TestStoreBackedEvaluation:
         node = p.node(102)  # person 1's name mux
         assert node.probabilities is not None
         node.probabilities[103] = Fraction(1, 4)
-        p.mark_mutated()
+        p.mark_mutated(node)
         hits_before = session.store.stats()["hits"]
         assert session.answer(q) == query_answer(p, q)
         # person 2's subtrees kept their digests and still hit the store
@@ -418,7 +418,7 @@ class TestAnchorPositions:
         positions = p_per.anchor_index()
         assert set(positions) == {n.node_id for n in p_per.nodes()}
         assert p_per.anchor_index() is positions  # epoch-cached
-        p_per.mark_mutated()
+        p_per.mark_all_mutated()
         assert p_per.anchor_index() is not positions
 
     def test_digest_equal_subtrees_give_equal_relative_positions(self):

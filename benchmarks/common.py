@@ -14,13 +14,20 @@ puts this directory on ``sys.path``) and under pytest (the
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
 
 
 def best_of(repeats: int, fn, *args) -> float:
-    """Minimum wall time of ``fn(*args)`` over ``repeats`` runs."""
+    """Minimum wall time of ``fn(*args)`` over ``repeats`` runs.
+
+    Garbage left by earlier work is collected before the first run, so
+    a full collection it would trigger is not billed to whichever arm
+    happens to be timed next (at one repeat, that decides comparisons).
+    """
+    gc.collect()
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -34,7 +41,9 @@ def best_of_each(fn, argsets) -> float:
 
     Used where every repeat needs its own inputs — e.g. a re-parsed copy
     of a query batch, so that no repeat is a session batch-memo replay.
+    Collects earlier garbage before the first run, like :func:`best_of`.
     """
+    gc.collect()
     best = float("inf")
     for args in argsets:
         start = time.perf_counter()

@@ -90,12 +90,9 @@ class RewritingCache:
             cache's session — view materialization and direct answers
             then share one structural memo, and a
             :class:`repro.store.SqliteStore` makes it survive restarts.
-        anchored_store: content-address anchored evaluations under
-            canonical anchor-position keys (default) — the rewriting
-            plans' per-extension sessions then share anchored Theorem-1/2
-            entries with the base document's store.  ``False`` restores
-            the node-keyed local memos (the baseline measured by
-            ``benchmarks/bench_anchored.py``).
+            The rewriting plans' per-extension sessions share it too, so
+            anchored Theorem-1/2 entries (canonical anchor-position keys)
+            are shared with the base document's evaluations.
     """
 
     def __init__(
@@ -104,16 +101,12 @@ class RewritingCache:
         strict: bool = False,
         backend: BackendLike = "exact",
         store: Optional[MemoStore] = None,
-        anchored_store: bool = True,
     ) -> None:
         self._p: Optional[PDocument] = None if strict else p
         self._build_source = p
         self.strict = strict
         self.backend = get_backend(backend)
-        self.anchored_store = anchored_store
-        self._session = QuerySession(
-            p, backend=self.backend, store=store, anchored_store=anchored_store
-        )
+        self._session = QuerySession(p, backend=self.backend, store=store)
         self._views: dict[str, View] = {}
         self._extensions: dict[str, ProbabilisticViewExtension] = {}
         self._source_counts: dict[AnswerSource, int] = {
@@ -294,7 +287,6 @@ class RewritingCache:
                 view,
                 backend=self.backend,
                 store=self._session.store,
-                anchored_store=self.anchored_store,
             )
             if plan is None:
                 continue
@@ -318,7 +310,6 @@ class RewritingCache:
             self._extensions,
             backend=self.backend,
             store=self._session.store,
-            anchored_store=self.anchored_store,
         )
         if plan is None:
             return None

@@ -150,14 +150,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         f"spine    {cell('spine_recomputes', 0)} recomputes / "
         f"{cell('survived_entries', 0)} entries survived (this process)"
     )
-    print(
-        f"bulk     {cell('bulk_probes', 0)} bulk calls / "
-        f"{cell('bulk_probe_keys', 0)} keys / "
-        f"{cell('flushes', 0)} flushes (this process)"
-    )
-    pending = stats.get("write_behind_pending")
-    if pending is not None:
-        print(f"pending  {pending} write-behind puts buffered")
     if stats.get("degraded"):
         print("state    DEGRADED (file unusable; see warning)")
     return 0

@@ -1,7 +1,7 @@
 """Span-based tracing with a no-op fast path.
 
 A :class:`Span` is one timed region of work — a shared traversal, an
-engine DP pass, a rewrite-plan phase, a store prefetch — carrying a
+engine DP pass, a rewrite-plan phase, a spine splice — carrying a
 name, wall time, free-form attributes (node visits, store hit/miss
 deltas, distribution widths, memo replays) and nested child
 spans.  The module-level :func:`span` helper is what the evaluation

@@ -34,18 +34,20 @@ and combines them in a single post-order traversal: a node's ``pinned``
 entry for ``n`` reuses the ``blocked`` distributions of every child
 subtree not containing ``n`` (via prefix/suffix convolutions for ``ind``
 and ordinary nodes, and an O(1)-per-candidate mixture update for ``mux``),
-so each p-document node is visited exactly once no matter how many
-candidates there are.  The instrumented :attr:`EvaluationEngine.visits`
-counter asserts this in the test suite.
+so each p-document node is visited at most once no matter how many
+candidates there are (query-neutral subtrees, holding no goal-table
+label, are not visited at all).  The instrumented
+:attr:`EvaluationEngine.visits` counter asserts this in the test suite.
 
 Complexity: ``O(|P̂| · s²)`` shared work plus ``O(depth(n) · s²)`` per
 candidate ``n`` for the path recombinations — versus ``O(|answer| · |P̂| ·
 s²)`` for the per-candidate loop, where ``s`` bounds the number of
 distinct goal sets.
 
-The engine is also the building block of the *workload session* layer
-(:mod:`repro.prob.session`): :class:`QuerySession` drives one shared
-post-order traversal for a whole batch of queries, calling back into
+The traversal itself is not the engine's: both passes are single-lane
+calls of :func:`repro.prob.traversal.stored_postorder`, the skeleton the
+*workload session* layer (:mod:`repro.prob.session`) also drives for a
+whole batch of queries.  :class:`QuerySession` calls back into
 :meth:`EvaluationEngine.combine_pinned` / :meth:`combine_unpinned` per
 query and per p-document node, and reuses per-subtree distributions
 across queries through :meth:`goal_table_fingerprint`.
@@ -220,23 +222,15 @@ class EvaluationEngine:
             process already performed.  Anchored restrictions are keyed
             by canonical anchor *positions* (digest-sorted rank paths),
             so they share entries across isomorphic subtrees too.
-        anchored_store: give anchored restrictions canonical store keys
-            (default).  ``False`` restores the node-keyed behaviour where
-            anchored evaluations bypass the store entirely — kept as the
-            baseline for ``benchmarks/bench_anchored.py``.
-        bulk_store: probe-plan prefetch for store-consulting passes —
-            ``None`` (default) follows ``store.prefers_bulk`` (on for a
-            live :class:`~repro.store.SqliteStore`), ``True``/``False``
-            force it.  Answers and store accounting are identical either
-            way; only the round-trip shape changes.
 
     Attributes:
         visits: cumulative count of p-document nodes combined by the DP —
-            one increment per node per traversal.  :meth:`answer` performs
-            exactly one traversal regardless of the candidate count, so
-            after a fresh engine's ``answer()`` call this equals
-            ``p.size()`` (store-less engines; a store additionally skips
-            memoized or query-neutral subtrees).
+            at most one increment per node per traversal.  :meth:`answer`
+            performs exactly one traversal regardless of the candidate
+            count, and query-neutral subtrees (no goal-table label below)
+            are never combined, so after a fresh store-less engine's
+            ``answer()`` call this equals the number of non-neutral nodes
+            (a store additionally skips memoized subtrees).
     """
 
     def __init__(
@@ -246,16 +240,12 @@ class EvaluationEngine:
         anchors: Optional[AnchorsLike] = None,
         backend: BackendLike = "exact",
         store: Optional[MemoStore] = None,
-        anchored_store: bool = True,
-        bulk_store: Optional[bool] = None,
     ) -> None:
         self.p = p
         self.patterns = list(patterns)
         self.backend: NumericBackend = get_backend(backend)
         self.anchors = normalize_anchors(self.patterns, anchors)
         self.store = store
-        self.anchored_store = anchored_store
-        self.bulk_store = bulk_store
         self.visits = 0
         self._zero = self.backend.zero
         self._one = self.backend.one
@@ -508,44 +498,26 @@ class EvaluationEngine:
     # Unpinned single-distribution DP (anchored / Boolean evaluation)
     # ------------------------------------------------------------------
     def _single_pass(self) -> Distribution:
-        if self.store is not None:
-            return self._single_pass_stored()
-        memo: dict[int, Distribution] = {}
-        stack: list[tuple[PNode, bool]] = [(self.p.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-                continue
-            memo[node.node_id] = self.combine_unpinned(node, memo)
-            for child in node.children:
-                del memo[child.node_id]
-        return memo[self.p.root.node_id]
-
-    def _single_pass_stored(self) -> Distribution:
-        """Unpinned DP as a single lane of the shared stored traversal.
+        """Unpinned DP as a single lane of the shared traversal.
 
         Neutral subtrees (no goal-table label below) short-circuit to the
-        unit distribution; subtrees whose canonical key is cached are not
-        traversed at all.  With ``anchored_store`` (the default) anchored
-        restrictions probe the store under canonical anchor-position keys;
-        disabled, they are simply recomputed (the engine keeps no local
-        memo).
+        unit distribution; with a store, subtrees whose canonical key is
+        cached (anchored restrictions under anchor-position keys) are not
+        traversed at all.
         """
         lane = Lane(
             table_labels=self._table_labels,
             combine=self.combine_unpinned,
             unit=self._unit(),
-            keyer=SubtreeKeyer(
-                self.p, self, self.backend, anchored=self.anchored_store
-            ),
+            keyer=self._keyer(),
             gate=GATE_UNPINNED,
         )
-        return stored_postorder(
-            self.p, [lane], self.store, bulk=self.bulk_store
-        )[0]
+        return stored_postorder(self.p, [lane], self.store)[0]
+
+    def _keyer(self) -> Optional[SubtreeKeyer]:
+        if self.store is None:
+            return None
+        return SubtreeKeyer(self.p, self, self.backend)
 
     def _combine_single(self, node: PNode, memo: dict) -> Distribution:
         """One single-distribution (unpinned) combine step."""
@@ -588,48 +560,23 @@ class EvaluationEngine:
         """One post-order traversal computing ``(blocked, pinned)`` per node.
 
         Returns the root's pair; ``pinned`` maps each candidate Id to the
-        goal-set distribution of the run anchored at that candidate.
-        """
-        if self.store is not None:
-            return self._pinned_pass_stored(candidate_set)
-        memo: dict[int, tuple[Distribution, dict]] = {}
-        stack: list[tuple[PNode, bool]] = [(self.p.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-                continue
-            memo[node.node_id] = self.combine_pinned(node, memo, candidate_set)
-            for child in node.children:
-                del memo[child.node_id]
-        return memo[self.p.root.node_id]
-
-    def _pinned_pass_stored(
-        self, candidate_set: frozenset
-    ) -> tuple[Distribution, dict]:
-        """Pinned DP as a single lane of the shared stored traversal.
-
-        Only *blocked* distributions are content-addressable (pinned maps
-        name candidate node Ids — document identity); subtrees holding no
-        candidate are skipped on a store hit, candidate-bearing subtrees
-        are combined normally and contribute their blocked halves.
+        goal-set distribution of the run anchored at that candidate.  A
+        single pinned lane of the shared traversal: only *blocked*
+        distributions are content-addressable (pinned maps name candidate
+        node Ids — document identity), so subtrees holding no candidate
+        are skipped on a store hit, candidate-bearing subtrees are
+        combined normally and contribute their blocked halves.
         """
         lane = Lane(
             table_labels=self._table_labels,
             combine=partial(self.combine_pinned, candidate_set=candidate_set),
             unit=self._unit(),
-            keyer=SubtreeKeyer(
-                self.p, self, self.backend, anchored=self.anchored_store
-            ),
+            keyer=self._keyer(),
             live=self.p.ancestral_closure(candidate_set),
             gate=GATE_BLOCKED,
             pinned=True,
         )
-        return stored_postorder(
-            self.p, [lane], self.store, bulk=self.bulk_store
-        )[0]
+        return stored_postorder(self.p, [lane], self.store)[0]
 
     def _combine_ordinary_pinned(
         self, node: PNode, memo: dict, candidate_set: frozenset
@@ -785,7 +732,7 @@ def query_answer(
 
     Args:
         stats: optional instrumentation sink; receives ``node_visits``
-            (DP node visits — equals ``p.size()`` without a store) and
+            (DP node visits — the non-neutral nodes without a store) and
             ``candidates``.
         store: optional structural memo store consulted/filled by the
             traversal (see :class:`EvaluationEngine`).

@@ -44,15 +44,11 @@ of the fingerprint and re-bound to canonical anchor *positions*
 (digest-sorted rank paths, :meth:`repro.pxml.pdocument.PDocument.
 anchor_index`), so the rewrite layer's Theorem-1/2 anchored traffic
 shares entries across extensions, subdocuments, restarts and isomorphic
-twin documents.  With ``anchored_store=False`` the historical node-keyed
-behaviour returns: anchored entries then live in a session-local memo
-(itself an :class:`~repro.store.InMemoryStore`, so the same
-GreedyDual-Size eviction replaces the old clear-at-capacity purge).
+twin documents.
 
-All four store-consulting loops that used to live here and in the
-engine are now one shared skeleton —
-:func:`repro.prob.traversal.stored_postorder`; the session's passes are
-multi-lane instances of it.
+The session's passes are multi-lane instances of the one traversal
+skeleton, :func:`repro.prob.traversal.stored_postorder`, which probes
+the store one key at a time.
 
 **The batch memo.**  A session also remembers its last
 :data:`MEMO_BATCHES` batches, keyed on the identities of their queries
@@ -70,22 +66,20 @@ and takes a store-warm pass instead.  Entries are evicted oldest first.
 pdocument.PDocument.mutation_epoch` changes (code that mutates a
 p-document in place calls ``mark_mutated(node)``), the session consults
 :meth:`PDocument.dirty_since`.  For node-scoped mutations it performs a
-*spine refresh*: only local-memo entries keyed on dirty node Ids are
-discarded, and — when the mutation was probability-only, so the maximal
-world is unchanged — the maximal world and every memoized
+*spine refresh*: when the mutation was probability-only, so the maximal
+world is unchanged, the maximal world and every memoized
 ``answer_many`` plan survive; only their answers are dropped.  This is
 sound because spine splicing updates the digest maps the plans' keyers
 hold *in place*, and a splice that had to rebuild an index reports the
 world as changed.  (Boolean entries memoize answers only — rewrite
 plans issue many small Boolean batches that rarely repeat — so any
 write drops them.)  A world-changing mutation drops the plans too, and
-a whole-document :meth:`PDocument.mark_all_mutated` (or the deprecated
-argument-less ``mark_mutated()``) triggers the full reset.  The
-structural store needs no purge either way: mutated subtrees change
-their digests and simply stop matching, while untouched sibling
-subtrees keep hitting — content addressing makes invalidation automatic
-and minimal, and the session records each spine refresh on the store
-(:meth:`repro.store.MemoStore.record_spine_recompute`).
+a whole-document :meth:`PDocument.mark_all_mutated` triggers the full
+reset.  The structural store needs no purge either way: mutated
+subtrees change their digests and simply stop matching, while untouched
+sibling subtrees keep hitting — content addressing makes invalidation
+automatic and minimal, and the session records each spine refresh on
+the store (:meth:`repro.store.MemoStore.record_spine_recompute`).
 
 The session also backs the rewrite layer: plans route their numerator /
 denominator / α-pattern evaluations through
@@ -200,15 +194,14 @@ class SessionStats:
         traversals: shared post-order passes performed (one per batch).
         queries: queries / Boolean items evaluated through the session.
         node_visits: p-document nodes touched by the shared passes; a cold
-            ``answer_many`` touches each node exactly once no matter how
+            ``answer_many`` touches each node at most once no matter how
             many queries the batch holds.
         memo_hits: per-query subtree evaluations answered from the
-            structural store or the local anchored memo, plus one per
-            query of a batch replayed from the batch memo.
+            structural store, plus one per query of a batch replayed from
+            the batch memo.
         memo_misses: per-query subtree evaluations computed and stored.
         anchored_hits: the subset of ``memo_hits`` whose restriction was
-            anchored (store anchor-position keys, or the node-keyed local
-            memo when ``anchored_store=False``).
+            anchored (store anchor-position keys).
         anchored_misses: the subset of ``memo_misses`` that was anchored.
         neutral_skips: per-query subtree evaluations short-circuited to
             the unit distribution because the subtree holds no goal-table
@@ -220,8 +213,6 @@ class SessionStats:
             mutation epochs, manual ``invalidate()`` calls).
         spine_refreshes: node-scoped mutation epochs absorbed without a
             full reset — only state keyed on dirty node Ids was dropped.
-        survived_local: cumulative local-memo entries kept live across
-            spine refreshes (node-keyed baseline sessions only).
         survived_plans: cumulative batch-memo plans kept live across
             probability-only spine refreshes.
     """
@@ -237,7 +228,6 @@ class SessionStats:
     subtree_skips: int = 0
     invalidations: int = 0
     spine_refreshes: int = 0
-    survived_local: int = 0
     survived_plans: int = 0
 
     def snapshot(self) -> dict:
@@ -289,30 +279,14 @@ class QuerySession:
         backend: numeric backend name or instance (default ``"exact"``).
         memoize: keep the cross-query subtree memo and the batch memo
             (default true).
-        memo_limit: entry cap.  For the session-owned default store this
-            is its ``max_entries`` (evicted cost-aware, entry by entry);
-            it also caps the local anchored memo of the node-keyed
-            baseline, which now shares the same GreedyDual-Size eviction
-            (an :class:`~repro.store.InMemoryStore`) instead of the old
-            clear-at-capacity purge.
+        memo_limit: entry cap of the session-owned default store (its
+            ``max_entries``, evicted cost-aware, entry by entry).
         store: a :class:`repro.store.MemoStore` to consult and fill —
             share one store between sessions (or pass a
             :class:`repro.store.SqliteStore`) for cross-document and
             cross-restart reuse.  Default: a private
             :class:`repro.store.InMemoryStore`.
-        anchored_store: content-address anchored restrictions under
-            canonical anchor-position keys in the structural store (the
-            default).  ``False`` restores the node-keyed behaviour:
-            anchored entries live in the session-local memo and die with
-            the session — kept as the baseline of
-            ``benchmarks/bench_anchored.py``.
-        bulk_store: probe-plan prefetch for the session's store passes —
-            ``None`` (default) follows ``store.prefers_bulk`` (on for a
-            live :class:`~repro.store.SqliteStore`), ``True``/``False``
-            force it.  Answers and store accounting are identical either
-            way; only the round-trip shape changes (one ``get_many`` /
-            ``contains_many`` / ``put_many`` per pass instead of
-            per-node calls).
+        bulk_store: accepted and ignored; store probing is per key.
 
     Attributes:
         stats: cumulative :class:`SessionStats`.
@@ -327,15 +301,13 @@ class QuerySession:
         memoize: bool = True,
         memo_limit: int = 1 << 18,
         store: Optional[MemoStore] = None,
-        anchored_store: bool = True,
+        # No effect: kept because perfbench/workloads.py (frozen) passes it.
         bulk_store: Optional[bool] = None,
     ) -> None:
         self.p = p
         self.backend: NumericBackend = get_backend(backend)
         self.memoize = memoize
         self.memo_limit = memo_limit
-        self.anchored_store = anchored_store
-        self.bulk_store = bulk_store
         if not memoize and store is not None:
             raise ValueError(
                 "memoize=False is contradictory with an explicit store: "
@@ -348,13 +320,6 @@ class QuerySession:
             store = InMemoryStore(max_entries=memo_limit)
         self.store = store
         self.stats = SessionStats()
-        # Node-keyed side memo for anchored entries when anchored_store
-        # is off; shares InMemoryStore's cost-aware GDS eviction.
-        self._local: Optional[InMemoryStore] = (
-            InMemoryStore(max_entries=memo_limit)
-            if memoize and not anchored_store
-            else None
-        )
         self._epoch = getattr(p, "mutation_epoch", 0)
         self._world = None
         # The batch memo: key -> _Batch, insertion-ordered for FIFO
@@ -519,7 +484,7 @@ class QuerySession:
     def invalidate(self) -> None:
         """Reset the session's caches and every derived document map.
 
-        Drops the local (anchored, node-keyed) memo and bumps the
+        Drops the batch memo and bumps the
         document's mutation epoch so all epoch-tagged derived state
         (label index, structural digests, identity digest) is re-derived
         — ``invalidate()`` therefore restores correctness even after an
@@ -529,14 +494,8 @@ class QuerySession:
         content-addressed entries are valid beyond this session; clear it
         explicitly via ``session.store.clear()``.
         """
-        mark_all = getattr(self.p, "mark_all_mutated", None)
-        if mark_all is not None:
-            mark_all()
-        else:
-            self.p.mark_mutated()
+        self.p.mark_all_mutated()
         self._epoch = self.p.mutation_epoch
-        if self._local is not None:
-            self._local.clear()
         self._world = None
         self._memo.clear()
         if self._owns_store and self.store is not None:
@@ -545,10 +504,8 @@ class QuerySession:
 
     @property
     def memo_size(self) -> int:
-        """Cached subtree entries visible to this session (store + local)."""
-        store_size = len(self.store) if self.store is not None else 0
-        local_size = len(self._local) if self._local is not None else 0
-        return store_size + local_size
+        """Cached subtree entries visible to this session's store."""
+        return len(self.store) if self.store is not None else 0
 
     # ------------------------------------------------------------------
     # Shared-pass machinery
@@ -572,8 +529,6 @@ class QuerySession:
 
     def _apply_refresh(self, dirty, sp) -> None:
         if dirty is None:
-            if self._local is not None:
-                self._local.clear()
             self._world = None
             self._memo.clear()
             self.stats.invalidations += 1
@@ -584,11 +539,6 @@ class QuerySession:
         if sp:
             sp.set("dirty_nodes", len(changed))
             sp.set("world_changed", world_changed)
-        if self._local is not None:
-            # Local keys are (node_id, fingerprint, targets, gate):
-            # entries for untouched subtrees stay correct and warm.
-            self._local.discard(lambda key: key[0] in changed)
-            stats.survived_local += len(self._local)
         if world_changed:
             # Labels or the node set moved: the maximal world and every
             # memoized plan (whose lanes bake candidate / live sets in)
@@ -645,36 +595,12 @@ class QuerySession:
                 for query in queries
             ]
         document_key = self.p.identity_digest()
-        bulk = (
-            self.bulk_store
-            if self.bulk_store is not None
-            else getattr(store, "prefers_bulk", False)
-        )
-        # Resolve per-query store keys first: the bulk path prefetches
-        # them in one round trip instead of one point read per query.
-        keys = []
-        for engine in engines:
-            table, _, _ = engine.goal_table_fingerprint(engine.table_labels)
-            keys.append(
-                (document_key, fingerprint_digest(table), None,
-                 "candidates", "node-ids")
-            )
-        prefetched = store.get_many(keys, record=False) if bulk else {}
-        # Misses save into ``pending`` and flush as one put_many; probes
-        # consult it too, so two queries sharing a key count miss-then-hit
-        # and put once — exactly as the per-key loop would.
-        pending: dict = {}
         sets = []
-        for query, key in zip(queries, keys):
-            if bulk:
-                cached = prefetched.get(key)
-                if cached is None:
-                    entry = pending.get(key)
-                    if entry is not None:
-                        cached = entry[0]
-                store.record_probe(key, cached is not None)
-            else:
-                cached = store.get(key)
+        for engine, query in zip(engines, queries):
+            table, _, _ = engine.goal_table_fingerprint(engine.table_labels)
+            key = (document_key, fingerprint_digest(table), None,
+                   "candidates", "node-ids")
+            cached = store.get(key)
             if cached is not None:
                 candidates = frozenset(cached)
             else:
@@ -685,17 +611,12 @@ class QuerySession:
                 # running the deterministic embedding — O(document) — so
                 # weight by document size, not by the (often tiny)
                 # candidate count.
-                payload = {node_id: 1.0 for node_id in candidates}
-                if bulk:
-                    pending[key] = (payload, self.p.size())
-                else:
-                    store.put(key, payload, weight=self.p.size())
+                store.put(
+                    key,
+                    {node_id: 1.0 for node_id in candidates},
+                    weight=self.p.size(),
+                )
             sets.append(candidates)
-        if pending:
-            store.put_many(
-                (key, payload, weight)
-                for key, (payload, weight) in pending.items()
-            )
         return sets
 
     # ------------------------------------------------------------------
@@ -704,9 +625,7 @@ class QuerySession:
     def _keyer(self, engine: EvaluationEngine) -> Optional[SubtreeKeyer]:
         if self.store is None:
             return None
-        return SubtreeKeyer(
-            self.p, engine, self.backend, anchored=self.anchored_store
-        )
+        return SubtreeKeyer(self.p, engine, self.backend)
 
     def _answer_plan(self, queries: list[TreePattern]) -> _Batch:
         """Engines, candidates and pinned lanes for an ``answer_many`` batch.
@@ -782,10 +701,7 @@ class QuerySession:
                 (store.hits, store.misses) if store is not None else (0, 0)
             )
         with sp:
-            roots = stored_postorder(
-                self.p, lanes, self.store, self._local, self.stats,
-                bulk=self.bulk_store,
-            )
+            roots = stored_postorder(self.p, lanes, self.store, self.stats)
         if sp:
             after = self.stats
             sp.set(

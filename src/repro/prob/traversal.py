@@ -1,21 +1,14 @@
-"""THE store-consulting post-order traversal.
+"""THE post-order traversal: one skeleton, one store-probing path.
 
-Before this module existed, four hand-rolled copies of the same loop
-lived in the engine and session layers —
-``EvaluationEngine._single_pass_stored`` / ``_pinned_pass_stored`` and
-``QuerySession._pinned_batch_pass`` / ``_unpinned_batch_pass`` — each
-re-implementing the probe / neutral-skip / second-chance-reprobe /
-contains-guarded-save choreography with slightly different memo
-routing.  :func:`stored_postorder` is the one remaining skeleton; the
-engine passes are single-lane instances of it and inherit the session's
-reprobe semantics for free.
+Every DP pass of the engine and session layers is an instance of
+:func:`stored_postorder` — a plain engine evaluation is a single-lane
+pass (with ``store=None`` when the engine has no store), a batched
+session pass runs many lanes over one stack walk.
 
 **Lanes.**  A :class:`Lane` is one query's view of a shared pass: its
 goal-table label support (for the neutral short-circuit), its *live* set
 (ancestors of candidate nodes, which must always be combined so pinned
 maps can be assembled), its gate, its keyer, and its combine callback.
-A batched session pass runs many lanes over one stack walk; a plain
-engine pass runs one.
 
 **Per node, per lane** the skeleton either
 
@@ -23,48 +16,31 @@ engine pass runs one.
   distribution is the unit ``{∅: 1}``) without touching any memo,
 * reuses a memoized blocked/unpinned distribution (a *hit*), or
 * calls the lane's combine and saves the cacheable half of the result
-  under the lane's token (a *miss*).
+  under the lane's store key (a *miss*).
 
 When *every* lane of the pass is neutral or hits at a subtree root
 (pre-check probe), the subtree is not traversed at all.  A counted
 pre-check miss is stashed as :data:`_MISS`; the expanded visit then uses
 a *second-chance* probe — it can still hit when an earlier lane of the
 same pass filled the identical key at this very node (same-pass
-cross-lane sharing), but a repeated miss is answered from
-:meth:`~repro.store.MemoStore.contains` and not re-counted.
+cross-lane sharing), but a repeated miss is answered by
+:meth:`~repro.store.MemoStore.reprobe` and not re-counted.
 
-**Memo routing.**  A lane token (:meth:`repro.store.keys.SubtreeKeyer.
-token`) is either a canonical content-addressed store key — unanchored,
-or anchored with canonical position encoding — or, when anchored keying
-is disabled (node-keyed baseline), a node-identity key served by a
-session-``local`` store.  Live-spine entries are recombined every pass
-without a prior probe; equal keys mean equal distributions, so saves are
-``contains``-guarded to skip the redundant re-store (a disk write per
-node on :class:`~repro.store.SqliteStore`).
-
-**Probe plans (bulk I/O).**  Against a store that prefers bulk probing
-(``store.prefers_bulk``, e.g. a live :class:`~repro.store.SqliteStore`;
-forceable via ``bulk=``), the pass front-loads its store traffic: every
-lane's candidate keys are enumerated from the epoch-cached digest
-indexes (:meth:`~repro.store.SubtreeKeyer.plan_keys`) and answered by
-ONE :meth:`~repro.store.MemoStore.get_many` plus one
-:meth:`~repro.store.MemoStore.contains_many` for the live-spine
-save-guard set, and all saves collect into one
-:meth:`~repro.store.MemoStore.put_many` at pass end — per-node store
-calls disappear from the hot loop.  The prefetch is *uncounted*
-(``record=False``): it probes keys under subtrees the walk may skip, so
-hit/miss accounting happens per *use* through
-:meth:`~repro.store.MemoStore.record_probe`, keeping ``stats()``
-byte-identical to the per-key path.  Deferred saves live in the plan's
-``pending`` map, which probes and reprobes consult — same-pass
-cross-lane sharing survives the deferral.
+**Store keys.**  A lane's key (:meth:`repro.store.keys.SubtreeKeyer.
+token`) is always a canonical content-addressed store key — unanchored,
+or anchored with canonical position encoding.  Probing is per key: one
+``get`` per probe, one ``reprobe`` per second chance, one ``put`` per
+miss (the key was just probed absent).  Live-spine entries are
+recombined every pass without a prior probe; equal keys mean equal
+distributions, so only their saves are ``contains``-guarded, to skip
+the redundant re-store (a disk write per node on
+:class:`~repro.store.SqliteStore`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..obs.trace import span
 from ..store import MemoStore, SubtreeKeyer
 
 __all__ = ["Lane", "stored_postorder"]
@@ -117,108 +93,11 @@ class Lane:
         self.unit_entry = (unit, {}) if pinned else unit
 
 
-def _probe(key, is_local: bool, store, local) -> Optional[dict]:
-    target = local if is_local else store
-    if target is None:
-        return None
-    return target.get(key)
-
-
-def _reprobe(key, is_local: bool, store, local) -> Optional[dict]:
-    """Second-chance probe: one store call, a hit counts, a miss does not."""
-    target = local if is_local else store
-    if target is None:
-        return None
-    return target.reprobe(key)
-
-
-def _save(key, is_local: bool, store, local, distribution, weight) -> None:
-    target = local if is_local else store
-    if target is not None and not target.contains(key):
-        target.put(key, distribution, weight)
-
-
-class _ProbePlan:
-    """One pass's bulk store I/O, front-loaded.
-
-    ``snapshot`` holds the answers of one *uncounted* ``get_many`` over
-    every key the pass may probe; ``present`` the ``contains_many``
-    answer for the live-spine save-guard keys; ``pending`` the deferred
-    saves, consulted by :meth:`probe`/:meth:`reprobe` so same-pass
-    cross-lane sharing works exactly as with eager per-key puts, and
-    landed as one ``put_many`` by :meth:`flush`.  Hit/miss accounting
-    happens per use (:meth:`~repro.store.MemoStore.record_probe`), so
-    store counters match the per-key path even though the prefetch
-    touched keys under skipped subtrees.
-    """
-
-    __slots__ = ("store", "snapshot", "present", "pending")
-
-    def __init__(self, store, snapshot: dict, present: set) -> None:
-        self.store = store
-        self.snapshot = snapshot
-        self.present = present
-        self.pending: dict = {}
-
-    def probe(self, key) -> Optional[dict]:
-        value = self.snapshot.get(key)
-        if value is None:
-            entry = self.pending.get(key)
-            if entry is not None:
-                value = entry[0]
-        self.store.record_probe(key, value is not None)
-        return value
-
-    def reprobe(self, key) -> Optional[dict]:
-        # A stashed pre-check miss was absent from the snapshot; only a
-        # same-pass save can have filled the key since.  Hit counts,
-        # miss does not — mirroring MemoStore.reprobe.
-        entry = self.pending.get(key)
-        if entry is None:
-            return None
-        self.store.record_probe(key, True)
-        return entry[0]
-
-    def save(self, key, distribution, weight) -> None:
-        if key in self.snapshot or key in self.present or key in self.pending:
-            return  # presence-guarded, like the per-key _save
-        self.pending[key] = (distribution, weight)
-
-    def flush(self) -> None:
-        if self.pending:
-            self.store.put_many(
-                (key, distribution, weight)
-                for key, (distribution, weight) in self.pending.items()
-            )
-
-
-def _build_plan(lanes, store, labels) -> _ProbePlan:
-    """Enumerate every lane's candidate keys and issue the bulk probes."""
-    probe_keys: set = set()
-    guard_keys: set = set()
-    for lane in lanes:
-        lane_probe, lane_guard = lane.keyer.plan_keys(
-            labels, lane.live, lane.gate
-        )
-        probe_keys |= lane_probe
-        guard_keys |= lane_guard
-    with span(
-        "store.bulk_prefetch",
-        probe_keys=len(probe_keys),
-        guard_keys=len(guard_keys),
-    ):
-        snapshot = store.get_many(probe_keys, record=False) if probe_keys else {}
-        present = store.contains_many(guard_keys) if guard_keys else set()
-    return _ProbePlan(store, snapshot, present)
-
-
 def stored_postorder(
     p,
     lanes: Sequence[Lane],
     store: Optional[MemoStore],
-    local: Optional[MemoStore] = None,
     stats=None,
-    bulk: Optional[bool] = None,
 ) -> list:
     """Run all ``lanes`` through one shared post-order pass over ``p``.
 
@@ -231,35 +110,21 @@ def stored_postorder(
         store: the content-addressed memo store (``None`` = memo-less
             pass: neutral subtrees still short-circuit, everything else
             is combined).
-        local: node-identity store for tokens the keyer marks local
-            (anchored restrictions in node-keyed baseline mode); ``None``
-            means such restrictions are simply not cached.
         stats: optional :class:`repro.prob.session.SessionStats`-shaped
             sink (``node_visits`` / ``memo_hits`` / ``memo_misses`` /
             ``anchored_hits`` / ``anchored_misses`` / ``neutral_skips`` /
             ``subtree_skips`` are updated; ``traversals`` is the
             caller's).
-        bulk: probe-plan prefetch — ``None`` (default) follows
-            ``store.prefers_bulk``, ``True``/``False`` force it on/off.
-            Answers and store hit/miss/put accounting are identical
-            either way; only the store-call shape changes (a handful of
-            bulk calls instead of per-node round trips).
     """
     labels = p.label_index()
     use_memo = store is not None
-    if use_memo and (
-        bulk if bulk is not None else getattr(store, "prefers_bulk", False)
-    ):
-        plan = _build_plan(lanes, store, labels)
-    else:
-        plan = None
     count = len(lanes)
     # A stashed pre-check miss can only turn into a hit when ANOTHER lane
     # fills the identical key before the expanded visit — between the two
     # only the node's strict descendants run, and a proper subtree can
     # never share its ancestor's digest.  Single-lane passes therefore
     # skip the second-chance reprobe entirely (it would be one
-    # guaranteed-miss ``contains`` probe per cold node).
+    # guaranteed-miss probe per cold node).
     reprobe_possible = count > 1
     indices = range(count)
     entries: list[dict] = [{} for _ in indices]
@@ -288,13 +153,8 @@ def stored_postorder(
                 if not use_memo:
                     skip = False
                     break
-                key, is_local, anchored = lane.keyer.token(
-                    node_id, label_set, lane.gate
-                )
-                if plan is not None and not is_local:
-                    cached = plan.probe(key)
-                else:
-                    cached = _probe(key, is_local, store, local)
+                key, anchored = lane.keyer.token(node_id, label_set, lane.gate)
+                cached = store.get(key)
                 if cached is None:
                     probed.append(_MISS)
                     skip = False
@@ -327,19 +187,11 @@ def stored_postorder(
                 entry = lane.combine(node, entry_map)
                 entry_map[node_id] = entry
                 if use_memo:
-                    key, is_local, _ = lane.keyer.token(
-                        node_id, label_set, lane.gate
-                    )
-                    blocked = entry[0] if lane.pinned else entry
-                    if plan is not None and not is_local:
-                        plan.save(
-                            key, blocked, lane.keyer.weight(node_id, blocked)
-                        )
-                    else:
-                        _save(
-                            key, is_local, store, local, blocked,
-                            lane.keyer.weight(node_id, blocked),
-                        )
+                    key, _ = lane.keyer.token(node_id, label_set, lane.gate)
+                    # Recombined without a probe: skip the redundant
+                    # re-store (a disk write on SqliteStore).
+                    if not store.contains(key):
+                        _save(lane, store, key, node_id, entry)
             elif not (lane.table_labels & label_set):
                 entry_map[node_id] = lane.unit_entry
                 if stats is not None:
@@ -347,24 +199,12 @@ def stored_postorder(
             elif not use_memo:
                 entry_map[node_id] = lane.combine(node, entry_map)
             else:
-                key, is_local, anchored = lane.keyer.token(
-                    node_id, label_set, lane.gate
-                )
+                key, anchored = lane.keyer.token(node_id, label_set, lane.gate)
                 stashed = probed[i] if i < len(probed) else None
-                bulk_key = plan is not None and not is_local
                 if stashed is None:
-                    cached = (
-                        plan.probe(key)
-                        if bulk_key
-                        else _probe(key, is_local, store, local)
-                    )
+                    cached = store.get(key)
                 elif stashed is _MISS:
-                    if not reprobe_possible:
-                        cached = None
-                    elif bulk_key:
-                        cached = plan.reprobe(key)
-                    else:
-                        cached = _reprobe(key, is_local, store, local)
+                    cached = store.reprobe(key) if reprobe_possible else None
                 else:
                     # Pre-check hit, stashed in entry form already.
                     entry_map[node_id] = stashed
@@ -380,25 +220,21 @@ def stored_postorder(
                         if anchored:
                             stats.anchored_hits += 1
                 else:
+                    # Probed absent just above; combine writes nothing.
                     entry = lane.combine(node, entry_map)
                     entry_map[node_id] = entry
-                    blocked = entry[0] if lane.pinned else entry
-                    if bulk_key:
-                        plan.save(
-                            key, blocked, lane.keyer.weight(node_id, blocked)
-                        )
-                    else:
-                        _save(
-                            key, is_local, store, local, blocked,
-                            lane.keyer.weight(node_id, blocked),
-                        )
+                    _save(lane, store, key, node_id, entry)
                     if stats is not None:
                         stats.memo_misses += 1
                         if anchored:
                             stats.anchored_misses += 1
             for child in children:
                 entry_map.pop(child.node_id, None)
-    if plan is not None:
-        plan.flush()  # the pass's saves land as one put_many
     root_id = p.root.node_id
     return [entries[i].pop(root_id) for i in indices]
+
+
+def _save(lane: Lane, store: MemoStore, key, node_id: int, entry) -> None:
+    """Store the cacheable half of ``entry`` under ``key``."""
+    blocked = entry[0] if lane.pinned else entry
+    store.put(key, blocked, lane.keyer.weight(node_id, blocked))

@@ -83,16 +83,14 @@ def probabilistic_tp_plan(
     view: View,
     backend: BackendLike = "exact",
     store: Optional[MemoStore] = None,
-    anchored_store: bool = True,
 ) -> Optional[TPRewritePlan]:
     """Build the probabilistic TP-rewriting of ``q`` over one view, if any.
 
     Implements the per-view body of ``TPrewrite`` (Figure 6); returns
     ``None`` when any condition fails.  The decision procedure is purely
-    syntactic; ``backend``, ``store`` and ``anchored_store`` only
-    parameterize the numeric domain and the structural memo store the
-    returned plan's ``f_r`` computes with (``anchored_store=False`` is
-    the node-keyed baseline of ``benchmarks/bench_anchored.py``).
+    syntactic; ``backend`` and ``store`` only parameterize the numeric
+    domain and the structural memo store the returned plan's ``f_r``
+    computes with.
     """
     v = view.pattern
     if not fact1_holds(q, v):
@@ -118,7 +116,6 @@ def probabilistic_tp_plan(
         u=u,
         backend=backend,
         store=store,
-        anchored_store=anchored_store,
     )
 
 

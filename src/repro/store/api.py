@@ -50,30 +50,12 @@ cost the entry saves — which cost-aware eviction policies
 (:class:`repro.store.memory.InMemoryStore`) use to decide what survives
 memory pressure.
 
-**The bulk protocol.**  Store-consulting traversals
-(:func:`repro.prob.traversal.stored_postorder`) can compute a whole
-pass's candidate key set
-*before* touching any probability — the same structural-tractability
-bet the paper's rewritings rest on — and ship it as one request instead
-of one round trip per node:
-
-* :meth:`MemoStore.get_many` — one probe over many keys, returning the
-  hit subset as a dict;
-* :meth:`MemoStore.contains_many` — bulk presence check (uncounted,
-  like :meth:`MemoStore.contains`), guarding redundant re-saves;
-* :meth:`MemoStore.put_many` — many entries in one write batch (for
-  :class:`~repro.store.sqlite.SqliteStore`, one ``executemany``
-  transaction, optionally staged through a bounded write-behind
-  buffer that is drained on :meth:`MemoStore.flush` / ``close``).
-
-The base class provides per-key fallback implementations, so
-third-party stores that only implement the point operations keep
-working; stores whose bulk paths genuinely beat per-key probing
-(disk- or network-backed) advertise it via
-:attr:`MemoStore.prefers_bulk`, which lets traversals auto-enable the
-probe-plan prefetch.  Every bulk call counts one ``bulk_probes``
-increment and ``len(keys)`` ``bulk_probe_keys``, and observes the
-process-wide ``repro_store_bulk_batch_keys`` batch-size histogram.
+**Per-key probing.**  Store-consulting traversals
+(:func:`repro.prob.traversal.stored_postorder`) talk to a store one key
+at a time: :meth:`MemoStore.get` per probe, :meth:`MemoStore.reprobe`
+per second chance, and :meth:`MemoStore.put` per save (guarded by
+:meth:`MemoStore.contains` only for entries recombined without a
+probe).  A store needs nothing beyond these point operations.
 
 **The unified ``stats()`` schema.**  Every concrete store's
 :meth:`MemoStore.stats` returns the *same key set*, so tooling
@@ -92,11 +74,8 @@ key                       meaning
 ``anchored_puts``
 ``spine_recomputes`` /    spine-only mutations lived through, and entries
 ``survived_entries``      cumulatively kept live across them
-``bulk_probes`` /         bulk protocol calls (``get_many`` /
-``bulk_probe_keys``       ``contains_many`` / ``put_many``), and keys
-                          carried by them in total
-``flushes``               pending-write batches made durable (write-behind
-                          drains and explicit ``flush()`` commits)
+``flushes``               pending-write batches made durable (committing
+                          ``flush()`` calls)
 ``kind``                  ``"memory"`` / ``"sqlite"`` (implementation tag)
 ``weight``                summed entry weights (``None`` when unknown)
 ``anchored_entries``      entries under anchored keys (``None`` when unknown)
@@ -105,8 +84,6 @@ key                       meaning
 ``cached_entries``        entries resident in process memory
 ``max_weight`` /          eviction caps (``None`` = uncapped / not
 ``max_entries``           applicable)
-``write_behind_pending``  buffered writes awaiting a flush (``None`` when
-                          the store has no write-behind stage)
 ========================  ====================================================
 
 Values that a given implementation cannot know are ``None`` — never
@@ -146,15 +123,6 @@ GATE_UNPINNED = "unpinned"
 #: ``(structure, fingerprint, Optional[anchor], Optional[gate], backend)``.
 StoreKey = tuple
 
-#: Batch sizes of bulk protocol calls (get_many / contains_many /
-#: put_many), observed once per call — a handful per traversal.
-_BULK_BATCH_KEYS = get_registry().histogram(
-    "repro_store_bulk_batch_keys",
-    help="keys carried per bulk store call (get_many/contains_many/put_many)",
-    buckets=(1, 4, 16, 64, 256, 1024, 4096, 16384),
-)
-
-
 def is_anchored_key(key: StoreKey) -> bool:
     """Whether a store key carries an anchor-position component.
 
@@ -188,30 +156,19 @@ class MemoStore(ABC):
             the cumulative number of entries that stayed live across
             them (content addressing never purges; mutated subtrees just
             stop matching).  Surfaced by ``repro store stats``.
-        bulk_probes / bulk_probe_keys / flushes: bulk-protocol traffic —
-            calls to :meth:`get_many` / :meth:`contains_many` /
-            :meth:`put_many`, the keys they carried in total, and
-            pending-write batches made durable (write-behind drains and
-            committing ``flush()`` calls).
+        flushes: pending-write batches made durable (committing
+            ``flush()`` calls).
     """
 
     #: Implementation tag entering ``stats()["kind"]`` and the registry
     #: ``kind`` label; concrete stores override it.
     store_kind = "memory"
 
-    #: Whether this store's bulk protocol genuinely beats per-key probing
-    #: (disk- or network-backed I/O).  Traversals consult it to
-    #: auto-enable the probe-plan prefetch of
-    #: :func:`repro.prob.traversal.stored_postorder`; purely in-memory
-    #: stores leave it ``False`` — their point probes are dict lookups,
-    #: and planning every key up front would cost more than it saves.
-    prefers_bulk = False
-
     def __init__(self) -> None:
-        # One mutable bag instead of nine attributes: the bag outlives
-        # the store (a finalizer retires it into the per-kind process
-        # totals), so registry counters stay monotone across instance
-        # garbage collection.  Hot-path cost is one dict item add.
+        # One mutable bag instead of one attribute per counter: the bag
+        # outlives the store (a finalizer retires it into the per-kind
+        # process totals), so registry counters stay monotone across
+        # instance garbage collection.  Hot-path cost is one dict item add.
         self._counts = {field: 0 for field in COUNTER_FIELDS}
         _LIVE_STORES.add(self)
         weakref.finalize(
@@ -227,8 +184,6 @@ class MemoStore(ABC):
     anchored_puts = property(lambda self: self._counts["anchored_puts"])
     spine_recomputes = property(lambda self: self._counts["spine_recomputes"])
     survived_entries = property(lambda self: self._counts["survived_entries"])
-    bulk_probes = property(lambda self: self._counts["bulk_probes"])
-    bulk_probe_keys = property(lambda self: self._counts["bulk_probe_keys"])
     flushes = property(lambda self: self._counts["flushes"])
 
     def _count_get(self, key: StoreKey, hit: bool) -> None:
@@ -253,26 +208,9 @@ class MemoStore(ABC):
         """Count one entry dropped under memory pressure."""
         self._counts["evictions"] += 1
 
-    def _count_bulk(self, key_count: int) -> None:
-        """Count one bulk protocol call carrying ``key_count`` keys."""
-        self._counts["bulk_probes"] += 1
-        self._counts["bulk_probe_keys"] += key_count
-        _BULK_BATCH_KEYS.observe(key_count)
-
     def _count_flush(self) -> None:
         """Count one pending-write batch made durable."""
         self._counts["flushes"] += 1
-
-    def record_probe(self, key: StoreKey, hit: bool) -> None:
-        """Account one probe answered from prefetched bulk results.
-
-        A probe-plan traversal fetches every candidate key up front with
-        ``get_many(keys, record=False)`` — an uncounted snapshot, since
-        the per-key path would never probe keys under skipped subtrees —
-        and then calls this per probe it actually resolves, so hit/miss
-        accounting stays *identical* to the per-key path's.
-        """
-        self._count_get(key, hit)
 
     def record_spine_recompute(self, survived: int) -> None:
         """Record one spine-only document mutation against this store.
@@ -316,66 +254,6 @@ class MemoStore(ABC):
             return None
         return self.get(key)
 
-    # ------------------------------------------------------------------
-    # Bulk protocol (see the module docstring).  The defaults fall back
-    # to the point operations so third-party stores keep working; the
-    # built-in stores override them with genuinely batched I/O.
-    # ------------------------------------------------------------------
-    def get_many(self, keys, record: bool = True) -> dict:
-        """Probe many keys at once; returns ``{key: distribution}`` hits.
-
-        With ``record`` (the default) every key counts one hit or miss,
-        exactly as a loop of :meth:`get` calls would.  ``record=False``
-        is the probe-plan *prefetch* mode: the snapshot is taken without
-        touching the hit/miss counters, and the consuming traversal
-        accounts each probe it actually resolves via
-        :meth:`record_probe`.  Either way the call itself counts as one
-        bulk probe over ``len(keys)`` keys.
-        """
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        if record:
-            return {
-                key: value
-                for key in keys
-                if (value := self.get(key)) is not None
-            }
-        # Per-key fallback for stores without a native uncounted path:
-        # restore the get-side counters around the loop (they live in
-        # the shared ``_counts`` bag, so this is exact for every
-        # MemoStore subclass).
-        counts = self._counts
-        saved = {field: counts[field] for field in _GET_COUNTER_FIELDS}
-        try:
-            return {
-                key: value
-                for key in keys
-                if (value := self.get(key)) is not None
-            }
-        finally:
-            counts.update(saved)
-
-    def contains_many(self, keys) -> set:
-        """The subset of ``keys`` that is cached — uncounted, like
-        :meth:`contains` (one bulk probe is still recorded)."""
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        return {key for key in keys if self.contains(key)}
-
-    def put_many(self, entries) -> None:
-        """Write many ``(key, distribution, weight)`` entries in one batch.
-
-        Counts one put per entry (identical to a loop of :meth:`put`
-        calls) plus one bulk probe over the batch.  Persistent stores
-        override this to issue a single write transaction — optionally
-        staged through a bounded write-behind buffer drained on
-        :meth:`flush` / :meth:`close`.
-        """
-        entries = list(entries)
-        self._count_bulk(len(entries))
-        for key, distribution, weight in entries:
-            self.put(key, distribution, weight)
-
     @abstractmethod
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
@@ -401,8 +279,6 @@ class MemoStore(ABC):
             "anchored_puts": self.anchored_puts,
             "spine_recomputes": self.spine_recomputes,
             "survived_entries": self.survived_entries,
-            "bulk_probes": self.bulk_probes,
-            "bulk_probe_keys": self.bulk_probe_keys,
             "flushes": self.flushes,
             "kind": self.store_kind,
             "weight": None,
@@ -412,7 +288,6 @@ class MemoStore(ABC):
             "cached_entries": len(self),
             "max_weight": None,
             "max_entries": None,
-            "write_behind_pending": None,
         }
 
     def flush(self) -> None:
@@ -435,14 +310,8 @@ COUNTER_FIELDS = (
     "anchored_puts",
     "spine_recomputes",
     "survived_entries",
-    "bulk_probes",
-    "bulk_probe_keys",
     "flushes",
 )
-
-#: The get-side counters restored by the uncounted bulk-prefetch
-#: fallback (``get_many(..., record=False)``).
-_GET_COUNTER_FIELDS = ("hits", "misses", "anchored_hits", "anchored_misses")
 
 _STORE_COUNTER_HELP = {
     "hits": "memo store get probes answered",
@@ -454,8 +323,6 @@ _STORE_COUNTER_HELP = {
     "anchored_puts": "anchored-key subset of the store puts",
     "spine_recomputes": "spine-only document mutations recorded against stores",
     "survived_entries": "entries kept live across spine-only mutations",
-    "bulk_probes": "bulk store calls (get_many/contains_many/put_many)",
-    "bulk_probe_keys": "keys carried by bulk store calls in total",
     "flushes": "pending-write batches made durable",
 }
 

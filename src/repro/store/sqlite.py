@@ -30,7 +30,10 @@ By default the whole table is decoded on first access (``preload=True``)
 — memo tables are tiny next to the evaluation work they encode, and one
 bulk ``SELECT`` is far cheaper than per-subtree point lookups on the hot
 path.  Pass ``preload=False`` for very large shared stores to fall back
-to per-key lookups; note this bounds *startup* cost only — the read
+to per-key lookups: every probe the read cache cannot answer is one
+point ``SELECT``, and ``contains`` / ``len`` / the ``stats()`` gauges
+query the file too, so a lazy store sees rows that other connections
+wrote after it opened.  Lazy mode bounds *startup* cost only — the read
 cache still grows with the entries actually touched (the working set),
 so a worker that sweeps an entire huge store should recycle the store
 instance (or front it with an :class:`~repro.store.memory.InMemoryStore`
@@ -42,25 +45,8 @@ the store to memory-only operation with a :class:`RuntimeWarning`
 (``degraded`` is set), keeping results correct and merely losing
 persistence.
 
-**Bulk I/O.**  ``get_many`` answers a whole probe plan in a handful of
-chunked row-value ``IN`` selects (``_READ_CHUNK`` keys per statement,
-sized under SQLite's 999-parameter limit) instead of one point
-``SELECT`` per key; ``put_many`` lands a pass's saves as one
-``executemany`` transaction.  ``contains_many`` needs no SQL at all:
-on open the store scans the table *once* for ``(key, weight)`` pairs
-into an in-process row map, which thereafter answers ``contains`` /
-``__len__`` / ``stats()`` and lets the lazy read path skip the SQL
-round trip for keys known to be absent.  The map assumes this process
-is the only writer — the documented single-writer deployment; a second
-concurrent writer's rows become visible after reopen.
-
-**Write-behind.**  ``write_behind=N`` buffers puts in process and
-drains them with one ``executemany`` + commit when N accumulate, at
-``flush()``, or at ``close()``.  Readers of the *same* store instance
-see buffered entries immediately (they sit in the read cache); other
-processes see them only after a flush.  A crash before the flush loses
-the pending puts — they were never sent to SQLite, so the file is
-merely stale, never corrupt.
+**Writes.**  Each ``put`` is one ``INSERT OR REPLACE``; the store
+commits every ``commit_every`` puts and on ``flush()`` / ``close()``.
 """
 
 from __future__ import annotations
@@ -89,17 +75,12 @@ _PUT_SECONDS = get_registry().histogram(
     "repro_store_sqlite_put_seconds",
     help="SqliteStore.put latency (recorded while tracing is enabled)",
 )
-_BULK_SECONDS = get_registry().histogram(
-    "repro_store_sqlite_bulk_seconds",
-    help="SqliteStore bulk-call latency (recorded while tracing is enabled)",
-)
-# Counts every statement handed to SQLite (execute or executemany) — the
-# store's round-trip proxy.  bench_store's round-trips column reads the
-# delta of this series across a pass to show bulk probing issuing O(1)
-# statements where per-key probing issues O(nodes).
+# Counts every statement handed to SQLite — the store's round-trip
+# proxy.  bench_store's round-trips column reads the delta of this series
+# across a lazy warm-from-disk pass.
 _STATEMENTS = get_registry().counter(
     "repro_store_sqlite_statements_total",
-    help="SQL statements issued by SqliteStore (execute + executemany)",
+    help="SQL statements issued by SqliteStore",
 )
 
 _PAYLOAD_VERSION = 1
@@ -196,27 +177,24 @@ class SqliteStore(MemoStore):
 
     Args:
         path: the store file (created if missing).
-        preload: decode the whole table into memory on first access.
+        preload: decode the whole table into memory on first access;
+            ``False`` reads per key (see "Read caching" above).
         commit_every: pending writes accumulated before an implicit
             commit; :meth:`flush`/:meth:`close` always commit.
-        write_behind: when positive, buffer puts in process and drain
-            them with one ``executemany`` + commit once this many
-            accumulate (or on :meth:`flush`/:meth:`close`).  ``0``
-            (default) writes through per put.
 
     Attributes:
         degraded: true once persistence failed and the store fell back
             to memory-only operation (a warning was emitted).
     """
 
-    # Keys per IN-clause chunk in bulk reads: 5 bound parameters per key,
-    # kept well under SQLite's historical 999-variable ceiling.
-    _READ_CHUNK = 160
-
     _INSERT_SQL = (
         "INSERT OR REPLACE INTO memo"
         " (structure, fingerprint, anchor, gate, backend, payload, weight)"
         " VALUES (?, ?, ?, ?, ?, ?, ?)"
+    )
+    _WHERE_KEY = (
+        " WHERE structure = ? AND fingerprint = ? AND anchor = ?"
+        " AND gate = ? AND backend = ?"
     )
 
     def __init__(
@@ -224,21 +202,19 @@ class SqliteStore(MemoStore):
         path: Union[str, "object"],
         preload: bool = True,
         commit_every: int = 256,
-        write_behind: int = 0,
     ) -> None:
         super().__init__()
         self.path = str(path)
         self.preload = preload
         self.commit_every = commit_every
-        self.write_behind = max(0, int(write_behind))
         self.degraded = False
         self._cache: dict[StoreKey, dict] = {}
         self._complete = False  # cache mirrors the whole table
         self._pending = 0
-        self._buffer: list[tuple] = []  # write-behind rows awaiting drain
-        # In-process row gauges, maintained from one scan on open and
-        # updated on put/delete/clear — ``contains``/``__len__``/``stats``
-        # never re-run COUNT(*)/SUM(weight) against the file.
+        # Preload mode's in-process row gauges, maintained from one scan
+        # on open and updated on put/clear — ``stats()`` never re-runs
+        # COUNT(*)/SUM(weight) against the file.  Lazy mode reads its
+        # gauges from SQL instead (see _gauges).
         self._row_weights: dict[StoreKey, int] = {}
         self._row_count = 0
         self._row_weight = 0
@@ -256,22 +232,8 @@ class SqliteStore(MemoStore):
             conn.execute(_SCHEMA)
             conn.commit()
             self._conn = conn
-            for structure, fingerprint, anchor, gate, backend, weight in (
-                conn.execute(
-                    "SELECT structure, fingerprint, anchor, gate, backend,"
-                    " weight FROM memo"
-                )
-            ):
-                self._row_count += 1
-                self._row_weight += weight
-                if anchor != "":
-                    self._anchored_rows += 1
-                try:
-                    decoded = _decode_anchor(anchor)
-                except ValueError:
-                    continue  # foreign encoding: counted, never probed
-                key = (structure, fingerprint, decoded, gate or None, backend)
-                self._row_weights[key] = weight
+            if preload:
+                self._scan_rows()
         except sqlite3.Error as exc:
             self._degrade(exc)
 
@@ -290,67 +252,48 @@ class SqliteStore(MemoStore):
         return self._get(key)
 
     def _get(self, key: StoreKey) -> Optional[dict]:
-        if self.preload and not self._complete:
-            self._preload()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._count_get(key, hit=True)
-            return cached
-        if (
-            not self._complete
-            and self._conn is not None
-            and key in self._row_weights
-        ):
-            distribution = self._fetch_one(key)
-            if distribution is not None:
-                self._count_get(key, hit=True)
-                return distribution
-        self._count_get(key, hit=False)
-        return None
-
-    def _fetch_one(self, key: StoreKey) -> Optional[dict]:
-        """Point-read one row known to exist (per the row map); repairs
-        undecodable rows by dropping them so ``contains`` agrees and the
-        next computation's ``put`` refills the entry."""
-        row = self._execute(
-            "SELECT payload FROM memo WHERE structure = ? AND fingerprint = ?"
-            " AND anchor = ? AND gate = ? AND backend = ?",
-            self._row_key(key),
-        )
-        row = row.fetchone() if row is not None else None
-        if row is None:
-            return None
-        try:
-            distribution = _decode(row[0])
-        except (ValueError, TypeError, KeyError):
-            self._drop_row(key)
-            return None
-        self._cache[key] = distribution
+        distribution = self._lookup(key)
+        self._count_get(key, hit=distribution is not None)
         return distribution
 
     def reprobe(self, key: StoreKey) -> Optional[dict]:
         """Single-probe second chance: a hit counts, a miss does not.
 
-        Collapses the old ``contains``-then-``get`` double round trip —
-        the row map answers presence in process, so at most one SQL
-        statement runs, and only for a key the map says is present.
+        At most one SQL statement runs (lazy mode, key not cached).
         """
+        distribution = self._lookup(key)
+        if distribution is not None:
+            self._count_get(key, hit=True)
+        return distribution
+
+    def _lookup(self, key: StoreKey) -> Optional[dict]:
+        """The entry for ``key`` from the read cache or, in lazy mode,
+        one point ``SELECT``; uncounted."""
         if self.preload and not self._complete:
             self._preload()
         cached = self._cache.get(key)
-        if cached is not None:
-            self._count_get(key, hit=True)
+        if cached is not None or self._complete or self._conn is None:
             return cached
-        if (
-            not self._complete
-            and self._conn is not None
-            and key in self._row_weights
-        ):
-            distribution = self._fetch_one(key)
-            if distribution is not None:
-                self._count_get(key, hit=True)
-                return distribution
-        return None
+        return self._fetch_one(key)
+
+    def _fetch_one(self, key: StoreKey) -> Optional[dict]:
+        """Point-read one row; repairs undecodable rows by dropping them
+        so ``contains`` agrees and the next computation's ``put`` refills
+        the entry."""
+        row_key = self._row_key(key)
+        rows = self._execute(
+            "SELECT payload FROM memo" + self._WHERE_KEY, row_key
+        )
+        row = rows.fetchone() if rows is not None else None
+        if row is None:
+            return None
+        try:
+            distribution = _decode(row[0])
+        except (ValueError, TypeError, KeyError):
+            self._execute("DELETE FROM memo" + self._WHERE_KEY, row_key)
+            return None
+        self._cache[key] = distribution
+        return distribution
 
     def put(self, key: StoreKey, distribution: dict, weight: int = 1) -> None:
         if get_tracer().enabled:
@@ -372,14 +315,9 @@ class SqliteStore(MemoStore):
         if payload is None:
             return  # non-serializable backend domain: memory-only entry
         weight = max(1, int(weight))
-        self._account_row(key, weight)
-        row = self._row_key(key) + (payload, weight)
-        if self.write_behind:
-            self._buffer.append(row)
-            if len(self._buffer) >= self.write_behind:
-                self.flush()
-            return
-        self._execute(self._INSERT_SQL, row)
+        if self.preload:
+            self._account_row(key, weight)
+        self._execute(self._INSERT_SQL, self._row_key(key) + (payload, weight))
         self._pending += 1
         if self._pending >= self.commit_every:
             self.flush()
@@ -391,132 +329,13 @@ class SqliteStore(MemoStore):
             return True
         if self._complete or self._conn is None:
             return False
-        return key in self._row_weights  # row map: presence without SQL
-
-    @property
-    def prefers_bulk(self) -> bool:
-        """Traversals should plan bulk probes while rows are reachable."""
-        return self._conn is not None
-
-    # ------------------------------------------------------------------
-    # Bulk protocol: chunked IN-clause reads, executemany writes
-    # ------------------------------------------------------------------
-    def get_many(self, keys, record: bool = True) -> dict:
-        if get_tracer().enabled:
-            start = perf_counter()
-            try:
-                return self._get_many(keys, record)
-            finally:
-                _BULK_SECONDS.observe(perf_counter() - start)
-        return self._get_many(keys, record)
-
-    def _get_many(self, keys, record: bool) -> dict:
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        if self.preload and not self._complete:
-            self._preload()
-        found: dict[StoreKey, dict] = {}
-        missing: list[StoreKey] = []
-        cache = self._cache
-        lazy = not self._complete and self._conn is not None
-        for key in keys:
-            value = cache.get(key)
-            if value is not None:
-                found[key] = value
-            elif lazy and key in self._row_weights:
-                missing.append(key)
-        if missing:
-            self._fetch_rows(missing, found)
-        if record:
-            for key in keys:
-                self._count_get(key, hit=key in found)
-        return found
-
-    def _fetch_rows(self, keys: list, found: dict) -> None:
-        """Chunked row-value ``IN`` reads for keys the row map says exist."""
-        for lo in range(0, len(keys), self._READ_CHUNK):
-            chunk = keys[lo : lo + self._READ_CHUNK]
-            row_keys = [self._row_key(key) for key in chunk]
-            by_row = dict(zip(row_keys, chunk))
-            placeholders = ", ".join(["(?, ?, ?, ?, ?)"] * len(chunk))
-            rows = self._execute(
-                "SELECT structure, fingerprint, anchor, gate, backend,"
-                " payload FROM memo WHERE"
-                " (structure, fingerprint, anchor, gate, backend)"
-                f" IN (VALUES {placeholders})",
-                tuple(value for row_key in row_keys for value in row_key),
-            )
-            if rows is None:
-                return  # degraded mid-plan: remaining keys become misses
-            doomed = []
-            for structure, fingerprint, anchor, gate, backend, payload in (
-                rows.fetchall()
-            ):
-                key = by_row.get((structure, fingerprint, anchor, gate, backend))
-                if key is None:  # pragma: no cover - IN returns only asked rows
-                    continue
-                try:
-                    value = _decode(payload)
-                except (ValueError, TypeError, KeyError):
-                    doomed.append(key)
-                    continue
-                self._cache[key] = value
-                found[key] = value
-            for key in doomed:
-                self._drop_row(key)
-
-    def contains_many(self, keys) -> set:
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        if self.preload and not self._complete:
-            self._preload()
-        cache = self._cache
-        if self._complete or self._conn is None:
-            return {key for key in keys if key in cache}
-        row_map = self._row_weights
-        return {key for key in keys if key in cache or key in row_map}
-
-    def put_many(self, entries) -> None:
-        if get_tracer().enabled:
-            start = perf_counter()
-            try:
-                return self._put_many(entries)
-            finally:
-                _BULK_SECONDS.observe(perf_counter() - start)
-        return self._put_many(entries)
-
-    def _put_many(self, entries) -> None:
-        entries = list(entries)
-        self._count_bulk(len(entries))
-        if self.preload and not self._complete:
-            self._preload()
-        rows = []
-        for key, distribution, weight in entries:
-            self._count_put(key)
-            self._cache[key] = distribution
-            if self._conn is None:
-                continue
-            payload = _encode(distribution)
-            if payload is None:
-                continue  # non-serializable: memory-only entry
-            weight = max(1, int(weight))
-            self._account_row(key, weight)
-            rows.append(self._row_key(key) + (payload, weight))
-        if not rows or self._conn is None:
-            return
-        if self.write_behind:
-            self._buffer.extend(rows)
-            if len(self._buffer) >= self.write_behind:
-                self.flush()
-            return
-        # One executemany + one commit: the whole batch is one transaction.
-        if self._executemany(self._INSERT_SQL, rows) is not None:
-            self._pending += len(rows)
-            self.flush()
+        rows = self._execute(
+            "SELECT 1 FROM memo" + self._WHERE_KEY, self._row_key(key)
+        )
+        return rows is not None and rows.fetchone() is not None
 
     def clear(self) -> None:
         self._cache.clear()
-        self._buffer.clear()
         self._row_weights.clear()
         self._row_count = 0
         self._row_weight = 0
@@ -532,60 +351,47 @@ class SqliteStore(MemoStore):
         In preloading mode (the default) the whole table is decoded
         first, so the count is the same whichever access path ran before
         — undecodable foreign rows are excluded.  In lazy mode the count
-        is approximate: the larger of the row count (maintained in
-        process, no SQL) and the cache size, which over-counts foreign
-        payloads and under-counts memory-only (non-serializable) entries
-        coexisting with persisted rows.
+        is approximate: the larger of the file's row count and the cache
+        size, which over-counts foreign payloads and under-counts
+        memory-only (non-serializable) entries coexisting with persisted
+        rows.
         """
         if self.preload and not self._complete:
             self._preload()
         if self._conn is None or self._complete:
             return len(self._cache)
-        return max(self._row_count, len(self._cache))
+        return max(self._gauges()[0], len(self._cache))
 
     def stats(self) -> dict:
         gauges = super().stats()
         weight = None
         anchored_entries = None
-        write_behind_pending = None
         if self._conn is not None:
-            # In-process row gauges (one scan on open keeps them exact —
-            # no COUNT(*)/SUM(weight) per call).
-            weight = self._row_weight
-            anchored_entries = self._anchored_rows
-            if self.write_behind:
-                write_behind_pending = len(self._buffer)
+            _, weight, anchored_entries = self._gauges()
         gauges.update(
             path=self.path,
             degraded=self.degraded,
             cached_entries=len(self._cache),
             weight=weight,
             anchored_entries=anchored_entries,
-            write_behind_pending=write_behind_pending,
         )
         return gauges
 
     def flush(self) -> None:
-        """Drain the write-behind buffer (if any) and commit.
+        """Commit pending writes.
 
         Counted in ``stats()["flushes"]`` only when work was pending —
         an idle flush is free and invisible.
         """
         if self._conn is None:
             return
-        rows = self._buffer
-        flushed = bool(rows) or self._pending > 0
-        if rows:
-            self._buffer = []
-            if self._executemany(self._INSERT_SQL, rows) is None:
-                return  # degraded: the pending puts are lost, file intact
         try:
             self._conn.commit()
         except sqlite3.Error as exc:
             self._degrade(exc)
             return
-        self._pending = 0
-        if flushed:
+        if self._pending:
+            self._pending = 0
             self._count_flush()
 
     def close(self) -> None:
@@ -613,17 +419,41 @@ class SqliteStore(MemoStore):
             self._degrade(exc)
             return None
 
-    def _executemany(self, sql: str, rows: list):
+    def _gauges(self) -> tuple:
+        """``(rows, summed weight, anchored rows)`` of the open file:
+        in-process counters in preload mode, one SQL aggregate in lazy
+        mode (which also counts rows other connections wrote)."""
+        if self.preload:
+            return self._row_count, self._row_weight, self._anchored_rows
+        rows = self._execute(
+            "SELECT COUNT(*), COALESCE(SUM(weight), 0),"
+            " COALESCE(SUM(anchor != ''), 0) FROM memo"
+        )
+        row = rows.fetchone() if rows is not None else None
+        return tuple(row) if row is not None else (0, 0, 0)
+
+    def _scan_rows(self) -> None:
+        """Build preload mode's row gauges with one ``(key, weight)`` scan."""
         assert self._conn is not None
-        _STATEMENTS.inc()
-        try:
-            return self._conn.executemany(sql, rows)
-        except sqlite3.Error as exc:
-            self._degrade(exc)
-            return None
+        for structure, fingerprint, anchor, gate, backend, weight in (
+            self._conn.execute(
+                "SELECT structure, fingerprint, anchor, gate, backend,"
+                " weight FROM memo"
+            )
+        ):
+            self._row_count += 1
+            self._row_weight += weight
+            if anchor != "":
+                self._anchored_rows += 1
+            try:
+                decoded = _decode_anchor(anchor)
+            except ValueError:
+                continue  # foreign encoding: counted, never probed
+            key = (structure, fingerprint, decoded, gate or None, backend)
+            self._row_weights[key] = weight
 
     def _account_row(self, key: StoreKey, weight: int) -> None:
-        """Track a put's effect on the in-process row gauges."""
+        """Track a put's effect on preload mode's row gauges."""
         old = self._row_weights.get(key)
         if old is None:
             self._row_count += 1
@@ -633,20 +463,6 @@ class SqliteStore(MemoStore):
         else:
             self._row_weight += weight - old
         self._row_weights[key] = weight
-
-    def _drop_row(self, key: StoreKey) -> None:
-        """Delete an undecodable row and back its weight out of the gauges."""
-        self._execute(
-            "DELETE FROM memo WHERE structure = ? AND fingerprint = ?"
-            " AND anchor = ? AND gate = ? AND backend = ?",
-            self._row_key(key),
-        )
-        old = self._row_weights.pop(key, None)
-        if old is not None:
-            self._row_count -= 1
-            self._row_weight -= old
-            if is_anchored_key(key):
-                self._anchored_rows -= 1
 
     def _preload(self) -> None:
         self._complete = True
@@ -685,7 +501,6 @@ class SqliteStore(MemoStore):
                 pass
             self._conn = None
         self._pending = 0
-        self._buffer.clear()  # pending write-behind puts are lost, not corrupt
         self._row_weights.clear()
         self._row_count = 0
         self._row_weight = 0

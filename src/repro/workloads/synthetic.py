@@ -347,8 +347,8 @@ def isomorphic_twin(p: PDocument, offset: Optional[int] = None) -> PDocument:
 
     Same shapes, labels, probabilities and child order — only the Ids
     differ — so structural digests and canonical anchor positions match
-    node-for-node while identity-keyed state (candidate sets, node-keyed
-    memos) cannot accidentally collide.  The workload for testing and
+    node-for-node while identity-keyed state (candidate sets) cannot
+    accidentally collide.  The workload for testing and
     benchmarking content-addressed sharing across lookalike documents.
 
     By default the offset is derived from the source document's largest

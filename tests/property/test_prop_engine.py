@@ -20,6 +20,15 @@ LABELS = ("a", "b", "c")
 TOLERANCE = 1e-9
 
 
+def non_neutral_nodes(p, patterns) -> int:
+    """Nodes whose subtree holds a goal-table label: exactly the nodes one
+    DP traversal combines (neutral subtrees short-circuit to the unit)."""
+    table_labels = EvaluationEngine(p, patterns).table_labels
+    return sum(
+        1 for labels in p.label_index().values() if labels & table_labels
+    )
+
+
 def make_instance(seed: int):
     rng = random.Random(seed)
     p = random_pdocument(rng, labels=LABELS, max_depth=4, max_children=3)
@@ -41,7 +50,7 @@ def test_single_pass_matches_per_candidate_exactly(seed):
     }
     assert answer == expected
     if candidates:  # the single traversal, asserted on every instance
-        assert engine.visits == p.size()
+        assert engine.visits == non_neutral_nodes(p, [q])
 
 
 @settings(max_examples=40, deadline=None)

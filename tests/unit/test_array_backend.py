@@ -302,7 +302,6 @@ class TestSqliteArrayCodec:
         ]
         for key in keys:
             assert store.get(key) is None
-        assert store.get_many(keys) == {}
         # The file still serves current sessions, cold and warm.
         p, queries = batch_workload(persons=4, projects=2, seed=2)
         expected = [query_answer(p, q) for q in queries]

@@ -232,12 +232,16 @@ class TestInvalidation:
 
 class TestVisitAccounting:
     def test_engine_answer_unchanged(self):
-        # The pre-session contract still holds for direct engine use.
+        # Direct engine use: one visit per non-neutral node.
         p = personnel_pdocument(persons=8, projects=3, seed=2)
         q = personnel_query("project0")
         engine = EvaluationEngine(p, [q])
         engine.answer(engine.candidate_ids())
-        assert engine.visits == p.size()
+        table_labels = engine.table_labels
+        assert engine.visits == sum(
+            1 for labels in p.label_index().values() if labels & table_labels
+        )
+        assert engine.visits < p.size()  # neutral subtrees were skipped
 
     def test_session_visits_scale_with_document_not_batch(self):
         # Cold visit counts depend on the document (minus its query-neutral

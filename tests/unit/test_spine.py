@@ -1,8 +1,8 @@
 """Spine-only incremental maintenance (ISSUE-7 tentpole).
 
 Node-scoped ``PDocument.mark_mutated(node)``: dirty-log semantics,
-O(depth) index splicing vs scratch rebuilds, the deprecation shim for
-the argument-less form, store survival counters, and session-level
+O(depth) index splicing vs scratch rebuilds, the retired
+argument-less form, store survival counters, and session-level
 memo/plan retention across spine refreshes.
 """
 
@@ -46,32 +46,37 @@ def assert_indexes_equal_scratch(p):
 
 
 class TestMarkMutated:
-    def test_argless_form_warns_and_invalidates_everything(self):
+    def test_argless_form_raises_type_error(self):
+        """``node`` is required; whole-document invalidation is
+        ``mark_all_mutated()``."""
         p = small_doc()
         before = p.mutation_epoch
-        with pytest.warns(DeprecationWarning, match="mark_all_mutated"):
+        with pytest.raises(TypeError):
             p.mark_mutated()
-        assert p.mutation_epoch == before + 1
-        assert p.dirty_since(before) is None
+        assert p.mutation_epoch == before
 
-    def test_argless_form_degrades_to_mark_all_mutated(self):
-        """The deprecated form is exactly ``mark_all_mutated()``."""
-        p_argless, p_explicit = small_doc(), small_doc()
-        for p in (p_argless, p_explicit):
-            warm_indexes(p)
-            p.mark_mutated(3)  # pending scoped entry, to be wiped
-        before = p_argless.mutation_epoch
-        with pytest.warns(DeprecationWarning):
-            p_argless.mark_mutated()
-        p_explicit.mark_all_mutated()
-        assert p_argless.mutation_epoch == p_explicit.mutation_epoch
-        for epoch in (0, before):
-            assert p_argless.dirty_since(epoch) is None
-            assert p_explicit.dirty_since(epoch) is None
-        # cached derived indexes were dropped, not spliced: both rebuild
-        # to the same state as a scratch copy
-        assert_indexes_equal_scratch(p_argless)
-        assert_indexes_equal_scratch(p_explicit)
+    def test_argless_form_leaves_pending_state_alone(self):
+        """The retired form fails before touching any state; whole-document
+        invalidation is the explicit ``mark_all_mutated()``."""
+        p = small_doc()
+        warm_indexes(p)
+        start = p.mutation_epoch
+        p.node(3).label = "z"
+        p.mark_mutated(3)  # a pending scoped entry
+        pending = p.dirty_since(start)
+        assert 3 in pending[0]
+        before = p.mutation_epoch
+        with pytest.raises(TypeError):
+            p.mark_mutated()
+        # the scoped entry and the spliced indexes survive the bad call
+        assert p.mutation_epoch == before
+        assert p.dirty_since(start) == pending
+        assert_indexes_equal_scratch(p)
+        p.mark_all_mutated()
+        assert p.mutation_epoch == before + 1
+        for epoch in (start, before):
+            assert p.dirty_since(epoch) is None
+        assert_indexes_equal_scratch(p)
 
     def test_mark_all_mutated_resets_dirty_log(self):
         p = small_doc()
@@ -225,16 +230,6 @@ class TestChurnWorkload:
 
 
 class TestStoreCounters:
-    def test_discard_removes_matching_and_returns_count(self):
-        store = InMemoryStore()
-        store.put(("a", "f", 0, "exact"), {1: Fraction(1)}, weight=3)
-        store.put(("b", "f", 0, "exact"), {2: Fraction(1)}, weight=5)
-        removed = store.discard(lambda key: key[0] == "a")
-        assert removed == 1
-        assert len(store) == 1
-        assert store.weight == 5
-        assert store.stats()["evictions"] == 0
-
     def test_record_spine_recompute_accumulates(self):
         store = InMemoryStore()
         store.record_spine_recompute(4)

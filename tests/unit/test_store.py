@@ -18,6 +18,7 @@ from repro.pxml import ind, mux, ordinary, pdoc
 from repro.store import (
     GATE_BLOCKED,
     InMemoryStore,
+    MemoStore,
     SqliteStore,
     SubtreeKeyer,
     open_store,
@@ -202,6 +203,170 @@ class TestSqliteStore:
         store.close()
 
 
+def key_of(i: int) -> tuple:
+    return (f"digest{i}", f"fp{i}", None, None, "exact")
+
+
+def dist_of(i: int) -> dict:
+    return {0: Fraction(1, i + 2)}
+
+
+def statement_count() -> int:
+    """The SQL statement counter, read directly: a registry snapshot
+    would run the store collector, whose ``len()`` of an open lazy store
+    is itself a statement."""
+    from repro.obs import get_registry
+
+    return get_registry().counter(
+        "repro_store_sqlite_statements_total"
+    ).read()
+
+
+class MinimalStore(MemoStore):
+    """A third-party store implementing only the point protocol."""
+
+    def __init__(self):
+        super().__init__()
+        self._data = {}
+
+    def get(self, key):
+        value = self._data.get(key)
+        self._count_get(key, hit=value is not None)
+        return value
+
+    def put(self, key, distribution, weight=1):
+        self._count_put(key)
+        self._data[key] = distribution
+
+    def contains(self, key):
+        return key in self._data
+
+    def clear(self):
+        self._data.clear()
+
+    def __len__(self):
+        return len(self._data)
+
+
+class TestPointProtocol:
+    """The per-key store protocol every traversal probe goes through."""
+
+    def test_default_reprobe_counts_hits_not_misses(self):
+        for store in (MinimalStore(), InMemoryStore()):
+            assert store.reprobe(key_of(0)) is None
+            assert store.misses == 0  # a reprobe miss is never re-counted
+            store.put(key_of(0), dist_of(0))
+            assert store.reprobe(key_of(0)) == dist_of(0)
+            assert store.hits == 1
+
+    def test_sqlite_reprobe_single_statement(self, tmp_path):
+        path = tmp_path / "reprobe.db"
+        store = SqliteStore(path, preload=False)
+        store.put(key_of(0), dist_of(0), 1)
+        store.close()
+        reopened = SqliteStore(path, preload=False)
+        before = statement_count()
+        assert reopened.reprobe(key_of(9)) is None
+        assert statement_count() == before + 1  # one SELECT
+        assert reopened.misses == 0
+        assert reopened.reprobe(key_of(0)) == dist_of(0)
+        assert statement_count() == before + 2  # one SELECT
+        assert reopened.hits == 1
+        assert reopened.reprobe(key_of(0)) == dist_of(0)
+        assert statement_count() == before + 2  # now served by the cache
+        reopened.close()
+
+    def test_cold_miss_is_one_select_and_one_insert(self, tmp_path):
+        # A miss is saved without a second presence check: on a cold
+        # lazy store each missed key costs its probe SELECT and its
+        # INSERT, nothing more (a Boolean pass has no live spine).
+        from repro.prob import boolean_probability
+
+        p = pdoc(ordinary(0, "IT-personnel", person(1), person(2, "Mary")))
+        q = parse_pattern("IT-personnel//person[name/Rick]/bonus")
+        store = SqliteStore(tmp_path / "cold.db", preload=False)
+        before = statement_count()
+        cold = boolean_probability(p, q, store=store)
+        assert store.misses > 0 and store.puts == store.misses
+        assert statement_count() - before == store.misses + store.puts
+        assert boolean_probability(p, q, store=store) == cold
+        assert store.hits > 0 and store.puts == store.misses
+        store.close()
+
+    def test_point_read_repairs_undecodable_rows(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "repair.db"
+        store = SqliteStore(path, preload=False)
+        for i in range(6):
+            store.put(key_of(i), dist_of(i), 1)
+        store.close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE memo SET payload = 'garbage' WHERE structure = ?",
+            ("digest3",),
+        )
+        conn.commit()
+        conn.close()
+        reopened = SqliteStore(path, preload=False)
+        got = [reopened.get(key_of(i)) for i in range(6)]
+        assert got[3] is None
+        assert [got[i] for i in (0, 1, 2, 4, 5)] == [
+            dist_of(i) for i in (0, 1, 2, 4, 5)
+        ]
+        # The broken row was dropped: contains agrees, so the next
+        # computation's save repairs the entry instead of being skipped.
+        assert not reopened.contains(key_of(3))
+        assert len(reopened) == 5
+        reopened.close()
+
+    def test_len_and_stats(self, tmp_path):
+        path = tmp_path / "gauges.db"
+        store = SqliteStore(path)
+        for i in range(5):
+            store.put(key_of(i), dist_of(i), i + 1)
+        # Preload mode keeps its gauges in process: no SQL per read.
+        before = statement_count()
+        assert len(store) == 5
+        stats = store.stats()
+        assert stats["weight"] == sum(range(1, 6))
+        assert stats["anchored_entries"] == 0
+        assert statement_count() == before
+        store.close()
+        # Lazy mode reads them from the file.
+        lazy = SqliteStore(path, preload=False)
+        assert len(lazy) == 5
+        assert lazy.stats()["weight"] == sum(range(1, 6))
+        assert lazy.stats()["entries"] == 5
+        assert lazy.stats()["cached_entries"] == 0
+        lazy.close()
+
+    def test_lazy_store_sees_other_writers(self, tmp_path, p_per):
+        # Two stores on one file: a lazy reader opened on an empty file
+        # serves what another connection wrote after it opened.
+        path = tmp_path / "shared.db"
+        queries = [paper.q_rbon(), paper.q_bon()]
+        expected = [query_answer(p_per, q) for q in queries]
+        reader = SqliteStore(path, preload=False)
+        writer = SqliteStore(path)
+        assert QuerySession(p_per, store=writer).answer_many(
+            queries
+        ) == expected
+        writer.close()
+        written = SqliteStore(path, preload=False)
+        entries = len(written)
+        weight = written.stats()["weight"]
+        written.close()
+        assert entries > 0
+        assert len(reader) == entries
+        assert reader.stats()["weight"] == weight
+        session = QuerySession(p_per, store=reader)
+        assert session.answer_many(queries) == expected
+        assert reader.hits > 0 and reader.misses == 0
+        assert session.stats.memo_misses == 0
+        reader.close()
+
+
 class TestSubtreeKeyer:
     def test_anchored_restriction_gets_position_key(self, p_per):
         q = paper.q_bon()
@@ -218,19 +383,6 @@ class TestSubtreeKeyer:
         plain_key = plain_keyer.store_key(1, root_labels, GATE_BLOCKED)
         assert plain_key is not None and plain_key[2] is None
         assert key != plain_key
-
-    def test_node_keyed_baseline_gets_no_store_key(self, p_per):
-        q = paper.q_bon()
-        anchored = EvaluationEngine(p_per, [q], {q.out: 5})
-        keyer = SubtreeKeyer(
-            p_per, anchored, anchored.backend, anchored=False
-        )
-        root_labels = p_per.label_index()[p_per.root.node_id]
-        assert keyer.store_key(1, root_labels, GATE_BLOCKED) is None
-        token, is_local, is_anchored = keyer.token(
-            1, root_labels, GATE_BLOCKED
-        )
-        assert is_local and is_anchored and token[0] == 1
 
     def test_anchor_outside_subtree_encodes_empty_slot(self, p_per):
         # Anchor node 5 (person 1's bonus) lies outside person 2's
@@ -445,29 +597,6 @@ class TestAnchoredStoreBacked:
         assert store.anchored_hits > hits_before
         assert second.stats.anchored_hits > 0
 
-    def test_node_keyed_baseline_keeps_anchored_entries_local(self, p_per):
-        q = paper.q_bon()
-        store = InMemoryStore()
-        session = QuerySession(p_per, store=store, anchored_store=False)
-        expected = query_answer(p_per, q)[5]
-        assert session.node_probability(q, 5) == expected
-        assert store.anchored_puts == 0  # nothing anchored reached the store
-        assert session.node_probability(q, 5) == expected
-        assert session.stats.anchored_hits > 0  # served by the local memo
-
-    def test_local_memo_evicts_cost_aware_not_clear_all(self, p_per):
-        q = paper.q_bon()
-        session = QuerySession(
-            p_per, store=InMemoryStore(), anchored_store=False, memo_limit=4
-        )
-        for node_id in (5, 7, 5, 7):
-            assert session.node_probability(q, node_id) == query_answer(
-                p_per, q
-            ).get(node_id, 0)
-        assert session._local is not None
-        assert len(session._local) <= 4
-        assert session.stats.invalidations == 0  # no coarse purge events
-
     def test_anchored_sqlite_roundtrip_across_restart(self, tmp_path, p_per):
         q = paper.q_bon()
         path = tmp_path / "memo.db"
@@ -551,8 +680,7 @@ class TestUnifiedStatsSchema:
         "anchored_hits", "anchored_misses", "anchored_puts",
         "spine_recomputes", "survived_entries",
         "kind", "weight", "anchored_entries", "path", "degraded",
-        "cached_entries", "max_weight", "max_entries",
-        "bulk_probes", "bulk_probe_keys", "flushes", "write_behind_pending",
+        "cached_entries", "max_weight", "max_entries", "flushes",
     }
 
     def test_memory_store_schema(self):

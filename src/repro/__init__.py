@@ -18,8 +18,9 @@ Tractability", VLDB 2012 (PVLDB 5(11):1148-1159):
   evaluations cached content-addressed — by structural digest and
   goal-table fingerprint — with cost-aware LRU eviction in memory and a
   SQLite tier that survives process restarts;
-* Id-free view extensions with a provenance side table (original ↔ copy
-  Ids and canonical rank paths beside the tree, no marker nodes);
+* Id-free view extensions: the §3.1 ``Id(n)`` identity device is a
+  provenance side table (original ↔ copy Ids and canonical rank paths
+  beside the tree) feeding engine anchor sets, never marker nodes;
 * probabilistic condition-independence (c-independence);
 * ``TPrewrite`` — single-view probabilistic rewritings (restricted and
   unrestricted, Theorems 1-2);
@@ -114,7 +115,6 @@ from .views import (
     View,
     probabilistic_extension,
     deterministic_extension,
-    anchor_via_marker,
 )
 from .rewrite import (
     c_independent,
@@ -146,7 +146,7 @@ __all__ = [
     "query_answer", "node_probability", "boolean_probability",
     "intersection_answer",
     "View", "ProvenanceTable", "probabilistic_extension",
-    "deterministic_extension", "anchor_via_marker",
+    "deterministic_extension",
     "c_independent", "tp_rewrite", "probabilistic_tp_plan",
     "theorem3_plan", "tpi_rewrite",
     "__version__",

@@ -165,23 +165,7 @@ class RewritingCache:
         Raises:
             NoRewritingError: in strict mode, when no rewriting exists.
         """
-        result = self._try_single_view(q)
-        if result is None:
-            result = self._try_multi_view(q)
-        if result is None:
-            if self._p is None:
-                raise NoRewritingError(
-                    f"no probabilistic rewriting of {q.xpath()} over "
-                    f"{sorted(self._views)} and the cache is strict"
-                )
-            result = CachedAnswer(
-                answer=self._session.answer(q),
-                source=AnswerSource.DIRECT,
-                plan_description="evaluated on the base p-document "
-                f"({self.backend.name} backend, session single-pass engine)",
-            )
-        self._source_counts[result.source] += 1
-        return result
+        return self.answer_many([q])[0]
 
     def answer_many(self, queries: Sequence[TreePattern]) -> list[CachedAnswer]:
         """Answer a whole workload batch, in input order.
@@ -225,8 +209,8 @@ class RewritingCache:
                 results[index] = CachedAnswer(
                     answer=answer,
                     source=AnswerSource.DIRECT,
-                    plan_description="batched direct evaluation "
-                    f"({self.backend.name} backend, "
+                    plan_description="direct evaluation on the base "
+                    f"p-document ({self.backend.name} backend, "
                     f"{len(direct_indices)} queries in one session pass)",
                 )
         return results  # type: ignore[return-value]

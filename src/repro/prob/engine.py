@@ -1,11 +1,14 @@
 """Single-pass evaluation engine for TP / TP∩ queries over p-documents.
 
-This module is the production probability path.  It keeps the goal-set
-dynamic program documented in :mod:`repro.prob.evaluator` — for every
-pattern node ``u`` a goal ``D(u)`` ("the pattern subtree at ``u`` embeds
-with ``u`` mapped to *this* document node") and a goal ``A(u)`` ("... to
-this node or a proper descendant") — but changes the machinery in three
-ways:
+This module is the production probability path: a goal-set dynamic
+program with, for every pattern node ``u``, a goal ``D(u)`` ("the pattern
+subtree at ``u`` embeds with ``u`` mapped to *this* document node") and a
+goal ``A(u)`` ("... to this node or a proper descendant"), computed
+bottom-up by union-convolution at ordinary and ``ind`` nodes and by
+probability mixtures at ``mux`` nodes.  Anchors pin pattern nodes to
+document node Id sets (the §3.1 ``Id(n)`` identity device, realized over
+Id-free extensions by their provenance tables).  Three choices shape the
+machinery:
 
 **Interned goal-set bitmasks.**  Goal sets are machine integers instead of
 ``frozenset[int]``: goal ``i`` owns bit ``1 << i``, union-convolution is
@@ -83,7 +86,7 @@ __all__ = [
 #: A goal-set distribution: interned bitmask -> backend probability value.
 Distribution = dict
 
-AnchorKey = Union[PatternNode, tuple, int]
+AnchorKey = Union[PatternNode, tuple]
 AnchorTarget = Union[int, "Sequence[int]"]
 AnchorsLike = Mapping[AnchorKey, AnchorTarget]
 """Maps a pattern node to the document node Id(s) it must be mapped to.
@@ -95,18 +98,17 @@ engine-level form of the paper's ``Id(n)``-marker device, which Id-free
 extensions realize without marker nodes).  An empty iterable pins the
 node to nothing: the pattern cannot match.
 
-Keys may be, in order of preference:
+Keys take one of three forms:
 
 * the :class:`PatternNode` object itself (stable across the evaluation);
 * a structural path as returned by :meth:`TreePattern.path_to` — valid
   when a single pattern is evaluated; anchors can then be persisted and
   re-applied to copies of the pattern;
 * ``(pattern_index, path)`` — a pattern index paired with such a path,
-  for multi-pattern (TP∩) evaluation, e.g. ``(1, q2.path_to(node))``;
-* ``id(pattern_node)`` (a bare ``int``).  **Deprecated**: object ids are
-  recycled by the interpreter and break on copied patterns; pass the
-  ``PatternNode`` or its path instead.  Accepted for backward
-  compatibility with the pre-engine ``Mapping[int, int]`` form.
+  for multi-pattern (TP∩) evaluation, e.g. ``(1, q2.path_to(node))``.
+
+Any other key — an ``int`` such as ``id(pattern_node)`` included — and
+a ``str`` target raise :class:`PatternError`.
 """
 
 # Output-goal gates for the ordinary-node rewrite (identity-compared).
@@ -125,7 +127,7 @@ def normalize_anchors(
 
     Raises:
         PatternError: when a key does not resolve to a node of ``patterns``
-            or a target is neither an Id nor an iterable of Ids.
+            or a target is neither an Id nor a non-string iterable of Ids.
     """
     if not anchors:
         return {}
@@ -140,13 +142,6 @@ def normalize_anchors(
                 )
         elif isinstance(key, tuple):
             uid = id(_resolve_path_key(patterns, key))
-        elif isinstance(key, int) and not isinstance(key, bool):
-            if key not in known:
-                raise PatternError(
-                    f"legacy anchor key {key} is not the id() of any "
-                    "evaluated pattern node"
-                )
-            uid = key
         else:
             raise PatternError(f"unsupported anchor key {key!r}")
         normalized[uid] = _normalize_anchor_target(key, target)
@@ -157,16 +152,11 @@ def _normalize_anchor_target(key, target) -> frozenset:
     if isinstance(target, int) and not isinstance(target, bool):
         return frozenset((target,))
     if isinstance(target, str):
-        # A numeric string is the legacy scalar form (int(target) before
-        # Id sets existed) — it must NOT fall into the iterable branch,
-        # which would silently anchor to its digit characters.
-        try:
-            return frozenset((int(target),))
-        except ValueError:
-            raise PatternError(
-                f"anchor target {target!r} for {key!r} is not a document "
-                "node Id"
-            ) from None
+        # Never iterate a string into its digit characters.
+        raise PatternError(
+            f"anchor target {target!r} for {key!r} is a string, not a "
+            "document node Id"
+        )
     try:
         members = frozenset(int(doc_id) for doc_id in target)
     except (TypeError, ValueError):
@@ -288,15 +278,6 @@ class EvaluationEngine:
         self._unit = self._ops.unit
         self._convolve = self._ops.convolve
         self._mixture = self._ops.mixture
-
-    # ------------------------------------------------------------------
-    # Goal ids (kept for compatibility with the pre-engine evaluator)
-    # ------------------------------------------------------------------
-    def d_goal(self, u: PatternNode) -> int:
-        return 2 * self._goal_index[id(u)]
-
-    def a_goal(self, u: PatternNode) -> int:
-        return 2 * self._goal_index[id(u)] + 1
 
     # ------------------------------------------------------------------
     # Batch-evaluation surface (used by repro.prob.session)
@@ -696,9 +677,7 @@ def node_probability(
     One full anchored DP per call; prefer :func:`query_answer` (or
     :meth:`EvaluationEngine.answer`) when several nodes are needed.
     """
-    return EvaluationEngine(
-        p, [q], {q.out: node_id}, backend, store
-    ).match_probability()
+    return intersection_node_probability(p, [q], node_id, backend, store)
 
 
 def conditional_node_probability(
@@ -745,15 +724,9 @@ def query_answer(
         from ..obs.trace import capture as trace_capture
 
         with trace_capture() as captured:
-            answer = query_answer(p, q, backend, stats, store)
+            answer = intersection_answer(p, [q], backend, stats, store)
         return answer, build_profiles(captured.spans, [q.xpath()])[0]
-    engine = EvaluationEngine(p, [q], backend=backend, store=store)
-    candidates = engine.candidate_ids()
-    answer = engine.answer(candidates)
-    if stats is not None:
-        stats["node_visits"] = engine.visits
-        stats["candidates"] = len(candidates)
-    return answer
+    return intersection_answer(p, [q], backend, stats, store)
 
 
 def intersection_node_probability(

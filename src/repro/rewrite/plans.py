@@ -19,17 +19,17 @@ Fractions by default, ``"fast"`` floats for throughput) and route their
 inner evaluations — Theorem 1's numerators and denominators, Theorem 2's
 α-pattern conjunctions — through a :class:`repro.prob.session.QuerySession`
 over the extension p-document, so that a whole `evaluate()` call shares
-one cross-query subtree memo instead of spawning a fresh exact evaluator
-per candidate node.
+one cross-query subtree memo instead of building a fresh engine per
+candidate node.
 
 The paper's ``Id(n)``-marker device is realized through *engine anchors*
 over the extension's provenance table rather than marker pattern nodes:
 pinning a pattern node to the set of ``n``'s occurrence copies
 (:meth:`repro.views.extension.ProbabilisticViewExtension.
 occurrence_copies`, served by :class:`repro.views.provenance.
-ProvenanceTable`) is equivalent to requiring a legacy marker child
-(extensions are Id-free and contain none), but keeps the goal table identical
-across candidates — anchor values are abstracted out of the memo
+ProvenanceTable`) is equivalent to requiring the paper's ``Id(n)`` child
+(extensions are Id-free and contain none), and it keeps the goal table
+identical across candidates — anchor values are abstracted out of the memo
 fingerprints and re-bound to canonical anchor *positions*
 (:mod:`repro.store.keys`), so the per-holder numerators, denominators
 and α-pattern conjunctions that dominate Theorem-1/2 answering become

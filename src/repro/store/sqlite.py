@@ -29,15 +29,18 @@ fill, never a wrong answer.
 By default the whole table is decoded on first access (``preload=True``)
 — memo tables are tiny next to the evaluation work they encode, and one
 bulk ``SELECT`` is far cheaper than per-subtree point lookups on the hot
-path.  Pass ``preload=False`` for very large shared stores to fall back
-to per-key lookups: every probe the read cache cannot answer is one
-point ``SELECT``, and ``contains`` / ``len`` / the ``stats()`` gauges
-query the file too, so a lazy store sees rows that other connections
-wrote after it opened.  Lazy mode bounds *startup* cost only — the read
-cache still grows with the entries actually touched (the working set),
-so a worker that sweeps an entire huge store should recycle the store
-instance (or front it with an :class:`~repro.store.memory.InMemoryStore`
-tier) to bound steady-state memory.
+path; ``get`` / ``contains`` / ``len`` are then answered from the cache
+without SQL.  Pass ``preload=False`` for very large shared stores to
+fall back to per-key lookups: every probe the read cache cannot answer
+is one point ``SELECT``, and ``contains`` / ``len`` query the file too,
+so a lazy store sees rows that other connections wrote after it opened.
+In both modes the ``stats()`` gauges (``weight``, ``anchored_entries``)
+are one SQL aggregate over the file per call.  Lazy mode bounds
+*startup* cost only — the read cache still grows with the entries
+actually touched (the working set), so a worker that sweeps an entire
+huge store should recycle the store instance (or front it with an
+:class:`~repro.store.memory.InMemoryStore` tier) to bound steady-state
+memory.
 
 **Degradation, not failure.**  A corrupt, unreadable or write-locked
 store file must never break query evaluation: every SQLite error demotes
@@ -60,7 +63,7 @@ from typing import Optional, Union
 
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
-from .api import MemoStore, StoreKey, is_anchored_key
+from .api import MemoStore, StoreKey
 
 __all__ = ["SqliteStore", "open_store"]
 
@@ -211,14 +214,6 @@ class SqliteStore(MemoStore):
         self._cache: dict[StoreKey, dict] = {}
         self._complete = False  # cache mirrors the whole table
         self._pending = 0
-        # Preload mode's in-process row gauges, maintained from one scan
-        # on open and updated on put/clear — ``stats()`` never re-runs
-        # COUNT(*)/SUM(weight) against the file.  Lazy mode reads its
-        # gauges from SQL instead (see _gauges).
-        self._row_weights: dict[StoreKey, int] = {}
-        self._row_count = 0
-        self._row_weight = 0
-        self._anchored_rows = 0
         self._conn: Optional[sqlite3.Connection] = None
         try:
             conn = sqlite3.connect(self.path)
@@ -232,8 +227,6 @@ class SqliteStore(MemoStore):
             conn.execute(_SCHEMA)
             conn.commit()
             self._conn = conn
-            if preload:
-                self._scan_rows()
         except sqlite3.Error as exc:
             self._degrade(exc)
 
@@ -315,8 +308,6 @@ class SqliteStore(MemoStore):
         if payload is None:
             return  # non-serializable backend domain: memory-only entry
         weight = max(1, int(weight))
-        if self.preload:
-            self._account_row(key, weight)
         self._execute(self._INSERT_SQL, self._row_key(key) + (payload, weight))
         self._pending += 1
         if self._pending >= self.commit_every:
@@ -336,11 +327,8 @@ class SqliteStore(MemoStore):
 
     def clear(self) -> None:
         self._cache.clear()
-        self._row_weights.clear()
-        self._row_count = 0
-        self._row_weight = 0
-        self._anchored_rows = 0
-        self._complete = self._conn is None
+        # A preloaded cache mirrors the table it just emptied.
+        self._complete = self._conn is None or self.preload
         if self._conn is not None:
             self._execute("DELETE FROM memo")
             self.flush()
@@ -420,49 +408,14 @@ class SqliteStore(MemoStore):
             return None
 
     def _gauges(self) -> tuple:
-        """``(rows, summed weight, anchored rows)`` of the open file:
-        in-process counters in preload mode, one SQL aggregate in lazy
-        mode (which also counts rows other connections wrote)."""
-        if self.preload:
-            return self._row_count, self._row_weight, self._anchored_rows
+        """``(rows, summed weight, anchored rows)`` of the open file, from
+        one SQL aggregate (it also counts rows other connections wrote)."""
         rows = self._execute(
             "SELECT COUNT(*), COALESCE(SUM(weight), 0),"
             " COALESCE(SUM(anchor != ''), 0) FROM memo"
         )
         row = rows.fetchone() if rows is not None else None
         return tuple(row) if row is not None else (0, 0, 0)
-
-    def _scan_rows(self) -> None:
-        """Build preload mode's row gauges with one ``(key, weight)`` scan."""
-        assert self._conn is not None
-        for structure, fingerprint, anchor, gate, backend, weight in (
-            self._conn.execute(
-                "SELECT structure, fingerprint, anchor, gate, backend,"
-                " weight FROM memo"
-            )
-        ):
-            self._row_count += 1
-            self._row_weight += weight
-            if anchor != "":
-                self._anchored_rows += 1
-            try:
-                decoded = _decode_anchor(anchor)
-            except ValueError:
-                continue  # foreign encoding: counted, never probed
-            key = (structure, fingerprint, decoded, gate or None, backend)
-            self._row_weights[key] = weight
-
-    def _account_row(self, key: StoreKey, weight: int) -> None:
-        """Track a put's effect on preload mode's row gauges."""
-        old = self._row_weights.get(key)
-        if old is None:
-            self._row_count += 1
-            self._row_weight += weight
-            if is_anchored_key(key):
-                self._anchored_rows += 1
-        else:
-            self._row_weight += weight - old
-        self._row_weights[key] = weight
 
     def _preload(self) -> None:
         self._complete = True
@@ -501,10 +454,6 @@ class SqliteStore(MemoStore):
                 pass
             self._conn = None
         self._pending = 0
-        self._row_weights.clear()
-        self._row_count = 0
-        self._row_weight = 0
-        self._anchored_rows = 0
         if not self.degraded:
             self.degraded = True
             warnings.warn(

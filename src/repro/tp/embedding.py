@@ -81,8 +81,7 @@ def has_embedding(
     (``{id(pattern_node): doc_node_id}``), which is how ``out(q) ↦ n`` and
     the §3.1 identity device are realized (provenance anchor sets — see
     :mod:`repro.views.provenance`).  Matching itself is label-agnostic:
-    no label shape is treated specially; legacy marker labels are decoded
-    only by :func:`repro.views.view.parse_marker_label`.
+    no label shape is treated specially.
     """
     return _Matcher(d, anchors).matches(q.root, d.root)
 

@@ -27,16 +27,10 @@ to this Id set": :meth:`copies_of` / :meth:`ProbabilisticViewExtension.
 occurrence_copies` feed engine anchor sets
 (:data:`repro.prob.engine.AnchorsLike`), which the evaluation engine and
 the canonical anchor-position store keys already support — with zero
-structural residue in the extension document itself.
-
-Legacy marker-bearing documents (e.g. re-parsed from old SQLite-warmed
-runs or serialized extensions) are still *readable*:
-:meth:`ProvenanceTable.from_markers` decodes the markers through the one
-sanctioned shim (:func:`repro.views.view.parse_marker_label`) into an
-equivalent table.  Marker-bearing and marker-free extensions have
-different structural digests by construction (the marker children are
-extra nodes), so old store entries can never be silently mis-shared with
-Id-free ones — they simply stop matching.
+structural residue in the extension document itself.  A marker-bearing
+extension (the paper's literal construction) has different structural
+digests by construction — the marker children are extra nodes — so its
+store entries can never be silently mis-shared with Id-free ones.
 """
 
 from __future__ import annotations
@@ -98,8 +92,8 @@ class ProvenanceTable:
         """Ids of *all* copies of ``original_id`` across result subtrees.
 
         Empty when the node was never copied — a pattern anchored to the
-        empty set cannot match, exactly like a marker pattern with no
-        ``Id(n)`` node in the document.
+        empty set cannot match, exactly like the paper's marker pattern
+        when no ``Id(n)`` node occurs.
         """
         return tuple(self._copies.get(original_id, ()))
 
@@ -112,10 +106,6 @@ class ProvenanceTable:
         """The selected original whose result subtree holds ``copy_id``."""
         return self._holders.get(copy_id)
 
-    def occurrences_of(self, original_id: int) -> frozenset:
-        """Holders whose result subtree contains a copy of ``original_id``."""
-        return frozenset(self._occurrences.get(original_id, ()))
-
     def copy_within(self, holder: int, original_id: int) -> Optional[int]:
         """The unique copy of ``original_id`` inside ``holder``'s result
         subtree, or ``None`` when the original does not occur below it."""
@@ -127,9 +117,9 @@ class ProvenanceTable:
     def originals_of(self, copy_ids: Iterable[int]) -> set[int]:
         """Map extension node Ids back to original Ids (non-copies skipped).
 
-        The marker-free form of candidate extraction: where the rewrite
-        layer used to scan ``Id(n)`` marker children of the selected
-        nodes, it now resolves the selected copies through this table.
+        The marker-free form of candidate extraction: the rewrite layer
+        resolves selected copies through this table where the paper reads
+        the ``Id(n)`` marker children of the selected nodes.
         """
         originals: set[int] = set()
         for copy_id in copy_ids:
@@ -138,7 +128,7 @@ class ProvenanceTable:
                 originals.add(original)
         return originals
 
-    # Mapping views used by the extension object's back-compat surface.
+    # Live mappings behind the extension's ``occurrences`` / ``copies``.
     @property
     def occurrence_index(self) -> dict[int, set[int]]:
         """``original Id -> set of holders`` (live, do not mutate)."""
@@ -186,56 +176,3 @@ class ProvenanceTable:
         return tuple(
             sorted(self.rank_path(copy_id) for copy_id in self.copies_of(original_id))
         )
-
-    # ------------------------------------------------------------------
-    # Legacy decode
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_markers(cls, pdocument) -> "ProvenanceTable":
-        """Decode a legacy marker-bearing extension p-document.
-
-        Walks the §3.1 shape — ``doc(v)`` root, one ``ind`` bundle, one
-        result subtree per selected node — and rebuilds the provenance
-        table from the ``Id(n)`` marker children via the sanctioned
-        legacy shim (:func:`repro.views.view.parse_marker_label`).  The
-        marker nodes themselves are *not* recorded as copies.
-        """
-        from .view import parse_marker_label
-
-        table = cls(pdocument)
-        marker_ids = {
-            node.node_id
-            for node in pdocument.ordinary_nodes()
-            if node.label is not None
-            and parse_marker_label(node.label) is not None
-        }
-        for bundle in pdocument.root.children:
-            for subtree_root in bundle.children:
-                holder: Optional[int] = None
-                for child in subtree_root.children:
-                    decoded = (
-                        parse_marker_label(child.label)
-                        if child.label is not None
-                        else None
-                    )
-                    if decoded is not None:
-                        holder = decoded
-                        break
-                if holder is None:
-                    continue
-                for node in subtree_root.iter_subtree():
-                    if not node.is_ordinary or node.node_id in marker_ids:
-                        continue
-                    original = next(
-                        (
-                            decoded
-                            for child in node.children
-                            if child.label is not None
-                            and (decoded := parse_marker_label(child.label))
-                            is not None
-                        ),
-                        None,
-                    )
-                    if original is not None:
-                        table.record(original, node.node_id, holder)
-        return table

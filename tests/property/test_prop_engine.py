@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.prob import EvaluationEngine, node_probability, query_answer
 from repro.prob.engine import boolean_probability, intersection_answer
-from repro.prob.evaluator import intersection_node_probability
+from repro.prob.engine import intersection_node_probability
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
 LABELS = ("a", "b", "c")

@@ -11,7 +11,7 @@ from repro.prob import (
     query_answer,
 )
 from repro.prob.bruteforce import brute_force_intersection_node_probability
-from repro.prob.evaluator import intersection_node_probability
+from repro.prob.engine import intersection_node_probability
 from repro.pxml.worlds import enumerate_worlds
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 

@@ -18,7 +18,6 @@ from repro.probability import (
 )
 from repro.prob import (
     EvaluationEngine,
-    ProbEvaluator,
     brute_force_boolean_probability,
     brute_force_query_answer,
     node_probability,
@@ -223,11 +222,14 @@ class TestStableAnchors:
         assert copy.node_at(path).label == q.out.label
         assert copy.node_at(path) is copy.out
 
-    def test_legacy_id_anchors_still_accepted(self, p_per):
+    def test_int_anchor_key_rejected(self, p_per):
+        # id(pattern_node) keys are not an anchor form: object ids are
+        # recycled and do not survive pattern copies.
         q = paper.v2_bon()
-        assert ProbEvaluator(
-            p_per, [q], {id(q.out): 5}
-        ).all_match_probability() == Fraction(1)
+        with pytest.raises(PatternError, match="unsupported anchor key"):
+            normalize_anchors([q], {id(q.out): 5})
+        with pytest.raises(PatternError):
+            EvaluationEngine(p_per, [q], {id(q.out): 5})
 
     def test_foreign_keys_rejected(self, p_per):
         q = paper.v2_bon()
@@ -257,19 +259,6 @@ class TestStableAnchors:
         p = pdoc(ordinary(0, "a", ind(1, (ordinary(2, "b"), "0.5"))))
         q = parse_pattern("a/b")
         assert brute_force_boolean_probability(p, q, {q.out: 2}) == Fraction(1, 2)
-
-
-class TestShimCompatibility:
-    def test_prob_evaluator_matches_engine(self, p_per):
-        q = paper.q_bon()
-        shim = ProbEvaluator(p_per, [q], {id(q.out): 5})
-        engine = EvaluationEngine(p_per, [q], {q.out: 5})
-        assert shim.all_match_probability() == engine.match_probability()
-
-    def test_goal_ids_exposed(self, p_per):
-        q = paper.q_bon()
-        shim = ProbEvaluator(p_per, [q])
-        assert shim.a_goal(q.root) == shim.d_goal(q.root) + 1
 
 
 class TestAnchorSets:
@@ -305,15 +294,15 @@ class TestAnchorSets:
         with pytest.raises(PatternError):
             normalize_anchors([q], {q.out: object()})
 
-    def test_string_target_is_a_scalar_not_an_iterable(self, p_per):
-        # "12" must anchor to node 12 (the legacy int() coercion), never
-        # be iterated into nodes 1 and 2.
+    def test_string_target_rejected(self, p_per):
+        # A string is never iterated into digit Ids ("12" -> {1, 2}) nor
+        # coerced to one Id: it is rejected outright.
         q = paper.q_bon()
-        assert normalize_anchors([q], {q.out: "12"}) == {
-            id(q.out): frozenset({12})
-        }
+        for target in ("12", "bonus", ""):
+            with pytest.raises(PatternError, match="is a string"):
+                normalize_anchors([q], {q.out: target})
         with pytest.raises(PatternError):
-            normalize_anchors([q], {q.out: "bonus"})
+            EvaluationEngine(p_per, [q], {q.out: "5"})
 
     def test_fingerprint_abstracts_anchor_values(self, p_per):
         # Same query, different anchors: identical abstract fingerprint,

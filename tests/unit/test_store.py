@@ -325,13 +325,15 @@ class TestPointProtocol:
         store = SqliteStore(path)
         for i in range(5):
             store.put(key_of(i), dist_of(i), i + 1)
-        # Preload mode keeps its gauges in process: no SQL per read.
+        # Preload mode answers len() from its read cache, with no SQL;
+        # the stats() gauges are one aggregate statement.
         before = statement_count()
         assert len(store) == 5
+        assert statement_count() == before
         stats = store.stats()
+        assert statement_count() == before + 1
         assert stats["weight"] == sum(range(1, 6))
         assert stats["anchored_entries"] == 0
-        assert statement_count() == before
         store.close()
         # Lazy mode reads them from the file.
         lazy = SqliteStore(path, preload=False)
@@ -340,6 +342,37 @@ class TestPointProtocol:
         assert lazy.stats()["entries"] == 5
         assert lazy.stats()["cached_entries"] == 0
         lazy.close()
+
+    def test_preload_gauges_match_lazy_after_puts_and_clear(self, tmp_path):
+        # Both modes read the gauges from the same single aggregate: a
+        # preloaded store's stats() is one statement and agrees with a
+        # lazy store on the same file, before and after a commit.
+        path = tmp_path / "gauges.db"
+        store = SqliteStore(path, commit_every=10_000)
+        anchored = ("digest-a", "fp-a", (((0, 1),),), None, "exact")
+        store.put(anchored, dist_of(0), 7)
+        for i in range(4):
+            store.put(key_of(i), dist_of(i), i + 1)
+        store.put(key_of(0), dist_of(0), 10)  # replace: weight 1 -> 10
+
+        def gauges(target):
+            stats = target.stats()
+            return stats["weight"], stats["anchored_entries"]
+
+        before = statement_count()
+        uncommitted = gauges(store)
+        assert statement_count() == before + 1
+        assert uncommitted == (7 + 10 + 2 + 3 + 4, 1)
+        store.flush()
+        lazy = SqliteStore(path, preload=False)
+        assert gauges(lazy) == gauges(store) == uncommitted
+        store.clear()
+        before = statement_count()
+        assert gauges(store) == (0, 0)
+        assert statement_count() == before + 1
+        assert gauges(lazy) == (0, 0)
+        lazy.close()
+        store.close()
 
     def test_lazy_store_sees_other_writers(self, tmp_path, p_per):
         # Two stores on one file: a lazy reader opened on an empty file

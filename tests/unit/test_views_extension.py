@@ -13,34 +13,15 @@ from repro.tp import parse_pattern
 from repro.tp.embedding import evaluate
 from repro.views import (
     View,
-    anchor_via_marker,
     deterministic_extension,
-    marker_label,
-    parse_marker_label,
     probabilistic_extension,
 )
 from repro.workloads import paper
 
 
-class TestLegacyMarkerShim:
-    def test_roundtrip(self):
-        with pytest.deprecated_call():
-            label = marker_label(42)
-        assert parse_marker_label(label) == 42
-
-    def test_non_marker(self):
-        assert parse_marker_label("bonus") is None
-        assert parse_marker_label("Id(x)") is None
-
-    def test_marker_label_warns_with_pointer(self):
-        with pytest.warns(DeprecationWarning, match="provenance anchor sets"):
-            marker_label(7)
-
-    def test_parse_is_a_silent_decode_shim(self, recwarn):
-        assert parse_marker_label("Id(3)") == 3
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+def _is_marker(label) -> bool:
+    """A label of the paper's ``Id(n)`` marker shape."""
+    return bool(label) and label.startswith("Id(") and label.endswith(")")
 
 
 class TestDeterministicExtension:
@@ -51,7 +32,7 @@ class TestDeterministicExtension:
         # The bonus subtree: laptop(44, 50) and pda(50) — and nothing else.
         labels = {n.label for n in ext.document.nodes()}
         assert {"laptop", "pda", "44", "50"} <= labels
-        assert not any(parse_marker_label(label) is not None for label in labels)
+        assert not any(_is_marker(label) for label in labels)
 
     def test_provenance_maps_selected_root(self, d_per, v1_bon):
         ext = deterministic_extension(d_per, v1_bon)
@@ -90,7 +71,7 @@ class TestProbabilisticExtension:
         labels = {
             n.label for n in ext_v1.pdocument.ordinary_nodes() if n.label
         }
-        assert not any(parse_marker_label(label) is not None for label in labels)
+        assert not any(_is_marker(label) for label in labels)
 
     def test_provenance_covers_every_copied_original(self, ext_v1):
         sub = ext_v1.result_subdocument(5)
@@ -183,16 +164,8 @@ class TestProvenanceAnchoring:
 
 
 class TestAnchorViaMarkerDeprecated:
-    def test_warns_and_builds_legacy_pattern(self):
-        q = parse_pattern("doc(v)/bonus")
-        with pytest.warns(DeprecationWarning, match="provenance anchor sets"):
-            anchored = anchor_via_marker(q, 5)
-        assert {
-            parse_marker_label(n.label) for n in anchored.predicate_nodes()
-        } == {5}
+    """Anchoring through an ``Id(n)`` marker child, the paper's device."""
 
     def test_marker_pattern_cannot_match_id_free_extension(self, ext_v2):
-        qr = parse_pattern("doc(v2BON)/bonus[laptop]")
-        with pytest.warns(DeprecationWarning):
-            anchored = anchor_via_marker(qr, 5)
+        anchored = parse_pattern("doc(v2BON)/bonus[laptop][Id(5)]")
         assert boolean_probability(ext_v2.pdocument, anchored) == 0
